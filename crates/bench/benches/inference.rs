@@ -30,22 +30,27 @@ fn bench_multi_exit_forward(c: &mut Criterion) {
     });
     group.finish();
 
-    // Planned (allocation-free) path against the allocating API on the same
-    // network and input, so the two groups are directly comparable.
-    let mut plan = net.execution_plan();
+    // Planned (allocation-free) path — a one-slot plan — against the
+    // allocating API on the same network and input, so the two groups are
+    // directly comparable.
+    let mut plan = net.batch_plan(1);
     let mut group = c.benchmark_group("multi_exit_forward_planned");
     group.sample_size(10);
     for exit in 0..3 {
         group.bench_function(format!("to_exit_{}", exit + 1), |b| {
             b.iter(|| {
-                black_box(net.forward_to_exit_with(&mut plan, &input, exit).unwrap().prediction)
+                black_box(
+                    net.forward_to_exit_batch_with(&mut plan, &[&input], exit)
+                        .unwrap()
+                        .prediction(0),
+                )
             })
         });
     }
     group.bench_function("incremental_exit1_to_exit3", |b| {
         b.iter(|| {
-            net.forward_to_exit_with(&mut plan, &input, 0).unwrap();
-            black_box(net.continue_to_exit_with(&mut plan, 2).unwrap().prediction)
+            net.forward_to_exit_batch_with(&mut plan, &[&input], 0).unwrap();
+            black_box(net.continue_to_exit_batch_with(&mut plan, 2).unwrap().prediction(0))
         })
     });
     group.finish();

@@ -15,8 +15,9 @@
 //!   reshape/copy, the branchy zero-skip GEMM, separate bias and ReLU passes;
 //! * `allocating` — the current `MultiExitNetwork::forward_to_exit` (thin
 //!   wrappers over the blocked `_into` kernels, still allocating per layer);
-//! * `planned` — `forward_to_exit_with` over a reusable `ExecutionPlan`
-//!   (zero allocations after warm-up, fused bias+ReLU epilogues);
+//! * `planned` — `forward_to_exit_batch_with` over a reusable one-slot
+//!   `BatchPlan` (zero allocations after warm-up, fused bias+ReLU
+//!   epilogues);
 //! * `batch_forward/*` — `forward_to_exit_batch_with` over a `BatchPlan`
 //!   (N samples through one widened GEMM per layer), reported as ns/sample;
 //! * `quant_forward/*` — the i8-dominant compression policy executed through
@@ -620,7 +621,7 @@ fn main() {
     let arch = lenet_multi_exit();
     let net = MultiExitNetwork::from_architecture(&arch, &mut rng).unwrap();
     let input = Tensor::randn(&mut rng, &[3, 32, 32], 0.0, 1.0);
-    let mut plan = net.execution_plan();
+    let mut plan = net.batch_plan(1);
 
     const BATCH: usize = 8;
     let batch_inputs: Vec<Tensor> =
@@ -632,12 +633,12 @@ fn main() {
     for exit in 0..3 {
         let (pre_pred, _) = pre_pr_forward_to_exit(&net, &input, exit);
         let (alloc_out, _) = net.forward_to_exit(&input, exit).unwrap();
-        let planned_out = net.forward_to_exit_with(&mut plan, &input, exit).unwrap();
+        let planned_out = net.forward_to_exit_batch_with(&mut plan, &[&input], exit).unwrap();
         assert_eq!(pre_pred, alloc_out.prediction, "pre-PR replica diverged at exit {exit}");
-        assert_eq!(planned_out.prediction, alloc_out.prediction, "planned diverged at {exit}");
+        assert_eq!(planned_out.prediction(0), alloc_out.prediction, "planned diverged at {exit}");
         let batched = net.forward_to_exit_batch_with(&mut batch_plan, &batch_refs, exit).unwrap();
         for (i, batch_input) in batch_inputs.iter().enumerate() {
-            let single = net.forward_to_exit_with(&mut plan, batch_input, exit).unwrap();
+            let (single, _) = net.forward_to_exit(batch_input, exit).unwrap();
             assert_eq!(batched.prediction(i), single.prediction, "batched diverged at {exit}/{i}");
         }
     }
@@ -693,7 +694,7 @@ fn main() {
     let tiny_inputs: Vec<Tensor> =
         (0..BATCH).map(|_| Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0)).collect();
     let tiny_refs: Vec<&Tensor> = tiny_inputs.iter().collect();
-    let mut tiny_plan = tiny_net.execution_plan();
+    let mut tiny_plan = tiny_net.batch_plan(1);
     let mut tiny_batch_plan = tiny_net.batch_plan(BATCH);
     let tiny_exit = tiny_arch.num_exits() - 1;
     let data = SyntheticDataset::generate(3, 8, 400, 0.05, 17);
@@ -736,7 +737,7 @@ fn main() {
         .collect();
     let mut fake_net = net.clone();
     apply_policy(&mut fake_net, &i8_policy).unwrap();
-    let mut fake_plan = fake_net.execution_plan();
+    let mut fake_plan = fake_net.batch_plan(1);
     let mut fake_batch_plan = fake_net.batch_plan(BATCH);
     let mut int_net = net.clone();
     let quant_cfg = apply_policy_quantized(&mut int_net, &i8_policy, &calib).unwrap();
@@ -747,14 +748,14 @@ fn main() {
         compressible.len(),
         "the i8-dominant policy quantizes every layer"
     );
-    let mut quant_plan = int_net.execution_plan_quantized(&quant_cfg).unwrap();
+    let mut quant_plan = int_net.batch_plan_quantized(&quant_cfg, 1).unwrap();
     let mut quant_batch_plan = int_net.batch_plan_quantized(&quant_cfg, BATCH).unwrap();
     // The integer engine must agree bit-for-bit with its naive fake-quant
     // reference before anything is timed.
     for exit in 0..3 {
-        int_net.forward_to_exit_with(&mut quant_plan, &input, exit).unwrap();
+        let single = int_net.forward_to_exit_batch_with(&mut quant_plan, &[&input], exit).unwrap();
         let reference = fake_quant_logits(&int_net, &quant_model, &input, exit).unwrap();
-        assert_eq!(quant_plan.logits(exit), reference.as_slice(), "quantized diverged at {exit}");
+        assert_eq!(single.logits(0), reference.as_slice(), "quantized diverged at {exit}");
         let batched =
             int_net.forward_to_exit_batch_with(&mut quant_batch_plan, &batch_refs, exit).unwrap();
         let batched_ref =
@@ -984,7 +985,11 @@ fn main() {
                 black_box(net.forward_to_exit(&input, exit).unwrap().0.prediction);
             });
             let planned_ns = median_ns(warmup, samples, || {
-                black_box(net.forward_to_exit_with(&mut plan, &input, exit).unwrap().prediction);
+                black_box(
+                    net.forward_to_exit_batch_with(&mut plan, &[&input], exit)
+                        .unwrap()
+                        .prediction(0),
+                );
             });
             results.push(CaseResult {
                 case: format!("to_exit_{}", exit + 1),
@@ -1000,7 +1005,11 @@ fn main() {
         // so both sides cover identical work.
         let planned_loop_ns = median_ns(warmup, samples, || {
             for batch_input in &batch_inputs {
-                black_box(net.forward_to_exit_with(&mut plan, batch_input, 2).unwrap().prediction);
+                black_box(
+                    net.forward_to_exit_batch_with(&mut plan, &[batch_input], 2)
+                        .unwrap()
+                        .prediction(0),
+                );
             }
         }) / BATCH as u64;
         let mut batch_results = Vec::new();
@@ -1030,9 +1039,9 @@ fn main() {
                 for tiny_input in &tiny_inputs {
                     black_box(
                         tiny_net
-                            .forward_to_exit_with(&mut tiny_plan, tiny_input, tiny_exit)
+                            .forward_to_exit_batch_with(&mut tiny_plan, &[tiny_input], tiny_exit)
                             .unwrap()
-                            .prediction,
+                            .prediction(0),
                     );
                 }
             }
@@ -1098,10 +1107,20 @@ fn main() {
         // only difference being which kernels execute it.
         let mut quant_results = Vec::new();
         let fake_single_ns = median_ns(warmup, samples, || {
-            black_box(fake_net.forward_to_exit_with(&mut fake_plan, &input, 2).unwrap().prediction);
+            black_box(
+                fake_net
+                    .forward_to_exit_batch_with(&mut fake_plan, &[&input], 2)
+                    .unwrap()
+                    .prediction(0),
+            );
         });
         let quant_single_ns = median_ns(warmup, samples, || {
-            black_box(int_net.forward_to_exit_with(&mut quant_plan, &input, 2).unwrap().prediction);
+            black_box(
+                int_net
+                    .forward_to_exit_batch_with(&mut quant_plan, &[&input], 2)
+                    .unwrap()
+                    .prediction(0),
+            );
         });
         quant_results.push(QuantCaseResult {
             case: "to_exit_3_i8".to_string(),
@@ -1341,9 +1360,9 @@ fn main() {
             for &(i, exit) in &serve_admitted {
                 black_box(
                     tiny_net
-                        .forward_to_exit_with(&mut tiny_plan, &serve_stream[i].input, exit)
+                        .forward_to_exit_batch_with(&mut tiny_plan, &[&serve_stream[i].input], exit)
                         .unwrap()
-                        .prediction,
+                        .prediction(0),
                 );
             }
         });

@@ -270,7 +270,9 @@ impl ExitAccuracyEstimator for EmpiricalAccuracyEstimator {
         policy.check_length(layers.len())?;
         let mut compressed = self.network.clone();
         apply_policy(&mut compressed, policy)?;
-        let accs = ie_nn::train::evaluate(&compressed, &self.samples)?;
+        // The sequential reference: one sample per planned pass on one
+        // thread (`exit_accuracy_batched` is the throughput path).
+        let accs = ie_nn::train::evaluate_batched(&compressed, &self.samples, 1, 1)?;
         Ok(accs.into_iter().map(f64::from).collect())
     }
 

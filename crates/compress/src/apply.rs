@@ -317,9 +317,13 @@ mod tests {
         let zeros = conv2.weight().as_slice().iter().filter(|&&w| w == 0.0).count();
         assert!(zeros > 0, "pruning still zeroes channels in quantized mode");
         // The config drives a working quantized plan.
-        let mut plan = quantized_net.execution_plan_quantized(&cfg).unwrap();
-        let out = quantized_net.forward_to_exit_with(&mut plan, &data.train()[0].image, 0).unwrap();
-        assert!(out.confidence.is_finite());
+        let mut plan = quantized_net.batch_plan_quantized(&cfg, 1).unwrap();
+        let x = &data.train()[0].image;
+        let out = quantized_net.forward_to_exit_batch_with(&mut plan, &[x], 0).unwrap();
+        assert!(out.confidence(0).is_finite());
+        let model = ie_nn::quant::QuantizedModel::for_network(&quantized_net, &cfg).unwrap();
+        let reference = ie_nn::quant::fake_quant_logits(&quantized_net, &model, x, 0).unwrap();
+        assert_eq!(out.logits(0), reference.as_slice());
         // No calibration samples is an explicit error.
         let mut other = net.clone();
         assert!(matches!(

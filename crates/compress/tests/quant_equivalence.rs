@@ -9,7 +9,7 @@
 
 use ie_compress::apply::apply_policy_quantized;
 use ie_compress::{CompressionPolicy, LayerPolicy};
-use ie_nn::dataset::SyntheticDataset;
+use ie_nn::dataset::{Sample, SyntheticDataset};
 use ie_nn::quant::{fake_quant_logits, QuantizedModel};
 use ie_nn::spec::tiny_multi_exit;
 use ie_nn::MultiExitNetwork;
@@ -41,10 +41,22 @@ fn policy_from(choices: &[(usize, usize, f32)]) -> CompressionPolicy {
         .collect()
 }
 
+/// The sequential accuracy oracle: one allocating `forward_all` per sample,
+/// correct predictions counted per exit.
+fn reference_evaluate(net: &MultiExitNetwork, samples: &[Sample]) -> Vec<f32> {
+    let mut correct = vec![0usize; net.num_exits()];
+    for sample in samples {
+        for out in net.forward_all(&sample.image).unwrap() {
+            correct[out.exit] += usize::from(out.prediction == sample.label);
+        }
+    }
+    correct.iter().map(|&c| c as f32 / samples.len() as f32).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The planned quantized path (single-input and batched, including
+    /// The planned quantized path (one-slot and batched, including
     /// incremental continuation) is bit-identical to the naive fake-quant
     /// reference for arbitrary kernel mixes and batch sizes.
     #[test]
@@ -62,7 +74,7 @@ proptest! {
         // the calibrated ranges (the epilogue's saturation is exercised).
         let cfg = apply_policy_quantized(&mut qnet, &policy, &data.train()[..8]).expect("config");
         let model = QuantizedModel::for_network(&qnet, &cfg).expect("model");
-        let mut single = qnet.execution_plan_quantized(&cfg).expect("single plan");
+        let mut single = qnet.batch_plan_quantized(&cfg, 1).expect("one-slot plan");
         let mut batched = qnet.batch_plan_quantized(&cfg, batch).expect("batch plan");
         let inputs: Vec<&Tensor> =
             data.train().iter().take(batch).map(|s| &s.image).collect();
@@ -73,9 +85,10 @@ proptest! {
                 .expect("batched forward");
             for (i, input) in inputs.iter().enumerate() {
                 let reference = fake_quant_logits(&qnet, &model, input, exit).expect("reference");
-                qnet.forward_to_exit_with(&mut single, input, exit).expect("planned forward");
-                let single_bits: Vec<u32> =
-                    single.logits(exit).iter().map(|v| v.to_bits()).collect();
+                let one = qnet
+                    .forward_to_exit_batch_with(&mut single, &[*input], exit)
+                    .expect("planned forward");
+                let single_bits: Vec<u32> = one.logits(0).iter().map(|v| v.to_bits()).collect();
                 let ref_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
                 let batch_bits: Vec<u32> = out.logits(i).iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(&single_bits, &ref_bits, "planned vs reference, exit {} sample {}", exit, i);
@@ -84,10 +97,10 @@ proptest! {
         }
         // Incremental continuation from exit 0 agrees with the reference too.
         let input = inputs[0];
-        qnet.forward_to_exit_with(&mut single, input, 0).expect("planned forward");
-        qnet.continue_to_exit_with(&mut single, 1).expect("continuation");
+        qnet.forward_to_exit_batch_with(&mut single, &[input], 0).expect("planned forward");
+        let out = qnet.continue_to_exit_batch_with(&mut single, 1).expect("continuation");
         let reference = fake_quant_logits(&qnet, &model, input, 1).expect("reference");
-        prop_assert_eq!(single.logits(1), reference.as_slice());
+        prop_assert_eq!(out.logits(0), reference.as_slice());
     }
 }
 
@@ -95,7 +108,7 @@ proptest! {
 fn an_i8_dominant_policy_keeps_usable_accuracy_through_the_integer_backend() {
     // End-to-end sanity beyond bit-identity: 8-bit integer execution of a
     // trained tiny network scores close to the fake-quant f32 path.
-    use ie_nn::train::{evaluate, evaluate_quantized, train, TrainConfig};
+    use ie_nn::train::{evaluate_quantized, train, TrainConfig};
 
     let data = SyntheticDataset::generate(3, 8, 140, 0.05, 41);
     let mut rng = StdRng::seed_from_u64(42);
@@ -109,7 +122,7 @@ fn an_i8_dominant_policy_keeps_usable_accuracy_through_the_integer_backend() {
     let policy = CompressionPolicy::uniform(n, 1.0, 8, 8).unwrap();
     let mut qnet = net.clone();
     let quant_cfg = apply_policy_quantized(&mut qnet, &policy, data.train()).unwrap();
-    let float_accs = evaluate(&net, data.test()).unwrap();
+    let float_accs = reference_evaluate(&net, data.test());
     let int_accs = evaluate_quantized(&qnet, &quant_cfg, data.test(), 8, 2).unwrap();
     for (f, q) in float_accs.iter().zip(&int_accs) {
         assert!((f - q).abs() < 0.15, "8-bit integer accuracy {q} strays too far from float {f}");

@@ -1,5 +1,6 @@
 //! Statically planned, allocation-free training: [`BackwardPlan`] is the
-//! backward-pass counterpart of [`crate::ExecutionPlan`].
+//! backward-pass counterpart of the planned forward engine
+//! ([`crate::BatchPlan`]), checked like it against the allocating path.
 //!
 //! The plan walks the architecture once at construction time and pre-sizes
 //! every buffer the combined forward + backward pass of
@@ -133,8 +134,11 @@ struct FqState {
     branch_entries: Vec<Vec<Option<FqEntry>>>,
 }
 
-/// A pre-sized training plan for a [`MultiExitNetwork`]; see the
-/// [module documentation](self) for the full story.
+/// A pre-sized training plan for a [`MultiExitNetwork`]: built once from the
+/// architecture, it holds every buffer the combined forward + backward pass
+/// of [`MultiExitNetwork::backward`] needs, and its steps are bit-identical
+/// to that allocating pass (same loss, same gradient bits) with zero heap
+/// allocations once warm.
 #[derive(Debug, Clone)]
 pub struct BackwardPlan {
     arch: MultiExitArchitecture,

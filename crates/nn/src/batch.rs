@@ -1,26 +1,37 @@
-//! Batched, allocation-free inference: N inputs per forward pass.
+//! Planned, allocation-free inference: N inputs per forward pass.
 //!
-//! A [`BatchPlan`] is the batched counterpart of [`crate::ExecutionPlan`]: it
-//! pre-sizes every buffer for up to `max_batch` samples and then runs whole
-//! batches through **one widened GEMM per layer** instead of one GEMM per
-//! sample. Spatial activations live in the *channel-major wide* layout
+//! A [`BatchPlan`] is the workspace's one planned forward engine. Built once
+//! from a [`MultiExitArchitecture`], it pre-sizes every buffer for up to
+//! `max_batch` samples — the `im2col` column scratch, two ping-pong
+//! activation buffers for the trunk, two for the branch being evaluated, and
+//! per-exit logits/probability buffers — and then runs whole batches through
+//! **one widened GEMM per layer** instead of one GEMM per sample. A single
+//! input is simply a batch of one: build the plan with `max_batch = 1` and
+//! read [`BatchOutput::sample`]`(0)` / [`BatchOutput::logits`]`(0)`.
+//!
+//! Spatial activations live in the *channel-major wide* layout
 //! `[C, batch, H, W]`, so the batched `im2col`
 //! ([`ie_tensor::im2col_batch_into`]) lowers all samples into a single
 //! `[C·K·K, batch·out_h·out_w]` column block and the bias+ReLU epilogue
 //! sweeps each output-channel row once. Flat activations (after a `Flatten`)
 //! are sample-major `[batch, features]`, which is what the batched dense
 //! kernel ([`ie_tensor::matvec_batch_into`]) and the per-sample softmax want.
+//! Conv→ReLU and Dense→ReLU pairs are fused into the GEMM epilogue, and
+//! convolution filters are read in their native row-major layout.
 //!
 //! Every sample's logits are **bit-identical** to running that sample alone
-//! through the planned single-input path ([`crate::ExecutionPlan`]): the
-//! widened GEMM still accumulates each output element in ascending depth
-//! order, the batched dense kernel reuses the same lane-parallel dot product,
-//! and pooling/ReLU/bias apply the same per-element operations. Property
-//! tests assert this across random batch sizes and sparse-hint (pruned)
-//! networks.
+//! through the allocating [`MultiExitNetwork::forward_to_exit`], which shares
+//! the same kernels: the widened GEMM still accumulates each output element
+//! in ascending depth order, the batched dense kernel reuses the same
+//! lane-parallel dot product, and pooling/ReLU/bias apply the same
+//! per-element operations. Property tests assert this across random batch
+//! sizes and sparse-hint (pruned) networks.
 //!
-//! One `BatchPlan` per worker thread is the sharding unit of
-//! [`crate::train::evaluate_batched`]; after construction a batched pass
+//! The plan caches the deepest trunk activation it has computed, which is
+//! what makes allocation-free *incremental* inference
+//! ([`MultiExitNetwork::continue_to_exit_batch_with`]) possible. One
+//! `BatchPlan` per worker thread is the sharding unit of
+//! [`crate::train::evaluate_batched`]; after construction a planned pass
 //! performs zero heap allocations (asserted by the counting-allocator test).
 //!
 //! ```
@@ -37,17 +48,21 @@
 //! assert_eq!(out.logits(1).len(), 3);
 //! let deeper = net.continue_to_exit_batch_with(&mut plan, 1)?;
 //! assert_eq!(deeper.exit(), 1);
+//!
+//! // A single input is a batch of one.
+//! let mut single = net.batch_plan(1);
+//! let out = net.forward_to_exit_batch_with(&mut single, &[&a], 1)?;
+//! assert_eq!(out.sample(0).exit, 1);
 //! # Ok::<(), ie_nn::NnError>(())
 //! ```
 
 use crate::loss::{argmax_slice, confidence_slice, softmax_into};
-use crate::plan::{buffer_requirements, check_exit};
 use crate::quant::{
     code_pair, quant_conv_forward, quant_dense_forward, quantize_slice, Domain, QuantBuffers,
     QuantConfig, QuantCtx, QuantDst, QuantState, QuantizedLayer, QuantizedModel,
 };
-use crate::spec::MultiExitArchitecture;
-use crate::{Layer, MultiExitNetwork, NnError, PlannedOutput, Result};
+use crate::spec::{LayerSpecKind, MultiExitArchitecture};
+use crate::{Layer, MultiExitNetwork, NnError, Result};
 use ie_tensor::{Tensor, Workspace};
 
 /// Slot indices of the two-slot ping-pong workspaces.
@@ -75,6 +90,19 @@ impl BatchDims {
             BatchDims::Flat(n) => *n,
         }
     }
+}
+
+/// One sample's result of a planned pass: a lightweight, non-allocating
+/// summary. The full logits and probabilities stay in the plan's buffers;
+/// read them through [`BatchOutput::logits`] / [`BatchOutput::probs`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlannedOutput {
+    /// Which exit produced the result.
+    pub exit: usize,
+    /// Predicted class (argmax of the probabilities).
+    pub prediction: usize,
+    /// Entropy-based confidence in `[0, 1]` (see [`crate::loss::confidence`]).
+    pub confidence: f32,
 }
 
 /// The per-exit results of a batched planned pass, borrowed from the plan's
@@ -145,8 +173,7 @@ impl<'a> BatchOutput<'a> {
         self.confidences[..self.batch][i]
     }
 
-    /// Sample `i` as a [`PlannedOutput`], interchangeable with the
-    /// single-input planned API.
+    /// Sample `i` as a [`PlannedOutput`].
     ///
     /// # Panics
     ///
@@ -165,15 +192,15 @@ impl<'a> BatchOutput<'a> {
 ///
 /// Build once per (architecture, worker thread) with
 /// [`BatchPlan::for_architecture`] or [`MultiExitNetwork::batch_plan`], then
-/// reuse across any number of batched passes. Like the single-input plan, the
-/// batch plan caches the deepest trunk activation it has computed, so a batch
-/// can be continued to a deeper exit without recomputing the shared trunk.
+/// reuse across any number of batched passes. The plan caches the deepest
+/// trunk activation it has computed, so a batch can be continued to a deeper
+/// exit without recomputing the shared trunk.
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     max_batch: usize,
     num_exits: usize,
     classes: usize,
-    /// Per-sample activation capacity (the single-input plan's slot size).
+    /// Per-sample activation capacity.
     act_capacity: usize,
     /// Per-sample `im2col` column capacity.
     col_capacity: usize,
@@ -252,11 +279,16 @@ impl BatchPlan {
         }
     }
 
-    /// Builds a **quantized** batch plan for `net`: the batched counterpart
-    /// of [`crate::ExecutionPlan::for_network_quantized`]. Layers covered by
-    /// `config` run the widened i8/i16 GEMM over the whole batch; integer
-    /// scratch is pre-sized for `max_batch` samples, so warmed quantized
-    /// batched passes perform zero heap allocations.
+    /// Builds a **quantized** batch plan for `net`: layers covered by
+    /// `config` run the widened i8/i16 GEMM over the whole batch with
+    /// weights quantized and packed here, once; everything else stays on the
+    /// `f32` engine. Integer scratch (code ping-pong slots, column buffers,
+    /// the `i32` accumulator) is pre-sized for `max_batch` samples, so warmed
+    /// quantized passes perform zero heap allocations.
+    ///
+    /// The quantized parameters are baked from `net`'s **current** weights;
+    /// use the plan only with that network (the compatibility check catches
+    /// architecture mismatches, not weight changes).
     ///
     /// # Errors
     ///
@@ -434,69 +466,48 @@ impl BatchPlan {
         Ok(())
     }
 
-    /// Transposes a wide spatial activation (`[C, batch, H·W]`) in the current
-    /// slot into the sample-major flat layout (`[batch, C·H·W]`) in the other
-    /// slot — the explicit work the batched `Flatten` performs. Values are
-    /// only moved, never changed, so logits stay bit-identical to the
-    /// single-input path (whose `Flatten` is a pure no-op).
+    /// Flattens a wide spatial activation into the sample-major layout in
+    /// the other ping-pong slot — of `ws`, or of `codes` when the activation
+    /// is held as quantized codes (a `Flatten` between two chained quantized
+    /// layers). A flat activation is left as it is.
     fn flatten_to_sample_major(
         ws: &mut Workspace,
+        codes: Option<&mut [Vec<i8>; 2]>,
         slot: &mut usize,
         dims: &mut BatchDims,
         batch: usize,
     ) {
-        let BatchDims::Spatial([c, h, w]) = *dims else {
+        let BatchDims::Spatial(chw) = *dims else {
             return;
         };
-        let plane = h * w;
-        let features = c * plane;
-        let (src, dst) = ws.pair_mut(*slot, 1 - *slot);
-        for ch in 0..c {
-            for s in 0..batch {
-                let src_off = (ch * batch + s) * plane;
-                let dst_off = s * features + ch * plane;
-                dst[dst_off..dst_off + plane].copy_from_slice(&src[src_off..src_off + plane]);
+        match codes {
+            None => {
+                let (src, dst) = ws.pair_mut(*slot, 1 - *slot);
+                transpose_to_sample_major(src, dst, chw, batch);
+            }
+            Some(codes) => {
+                let (src, dst) = code_pair(codes, *slot);
+                transpose_to_sample_major(src, dst, chw, batch);
             }
         }
         *slot = 1 - *slot;
-        *dims = BatchDims::Flat(features);
+        *dims = BatchDims::Flat(chw.iter().product());
     }
 
-    /// [`Self::flatten_to_sample_major`] over the code ping-pong slots: the
-    /// same pure transpose, moving `i8` codes instead of floats, used when a
-    /// `Flatten` (or an implicit one before a dense layer) sits between two
-    /// chained quantized layers.
-    fn flatten_codes_to_sample_major(
-        codes: &mut [Vec<i8>; 2],
-        slot: &mut usize,
-        dims: &mut BatchDims,
-        batch: usize,
-    ) {
-        let BatchDims::Spatial([c, h, w]) = *dims else {
-            return;
-        };
-        let plane = h * w;
-        let features = c * plane;
-        let (src, dst) = code_pair(codes, *slot);
-        for ch in 0..c {
-            for s in 0..batch {
-                let src_off = (ch * batch + s) * plane;
-                let dst_off = s * features + ch * plane;
-                dst[dst_off..dst_off + plane].copy_from_slice(&src[src_off..src_off + plane]);
-            }
-        }
-        *slot = 1 - *slot;
-        *dims = BatchDims::Flat(features);
-    }
-
-    /// Runs `layers` over the batched activation held in `ws`, fusing
-    /// Conv→ReLU / Dense→ReLU pairs into the kernel epilogues exactly like
-    /// the single-input plan.
+    /// Runs `layers` over the batched activation held in `ws` (ping-pong
+    /// between its two slots), fusing Conv→ReLU / Dense→ReLU pairs into the
+    /// kernel epilogues.
     ///
-    /// With a quantized context, covered layers run the widened i8/i16
-    /// integer kernels with the same code-domain chaining as the single-input
-    /// plan (see [`crate::ExecutionPlan`]); the wide channel-major layout
-    /// carries over unchanged because quantization is elementwise.
+    /// With a quantized context, layers whose aligned entry is `Some` run the
+    /// widened i8/i16 integer kernels instead: the activation is quantized at
+    /// the float→int boundary (or arrives as codes from the previous chained
+    /// quantized layer), the GEMM accumulates in `i32`, and the
+    /// requantization epilogue emits either codes for the next quantized
+    /// layer or `f32` at the mixed-precision boundary. ReLU and max-pool
+    /// operate directly in the code domain between chained layers
+    /// (quantization is monotone, so both commute with it exactly). The wide
+    /// channel-major layout carries over unchanged because quantization is
+    /// elementwise. Every list starts and ends in the f32 domain.
     fn run_layers(
         layers: &[Layer],
         ws: &mut Workspace,
@@ -516,6 +527,19 @@ impl BatchPlan {
         while i < layers.len() {
             let fuse = matches!(layers.get(i + 1), Some(Layer::Relu(_)));
             let qentry = qlist.get(i).and_then(|e| e.as_ref());
+            // Dense layers want the sample-major flat layout: a wide spatial
+            // activation is flattened at every `Flatten` and implicitly
+            // before a dense layer, mirroring the allocating path's tolerance
+            // of a missing Flatten.
+            if matches!(layers[i], Layer::Dense(_) | Layer::Flatten(_)) {
+                let codes = match domain {
+                    Domain::F32 => None,
+                    Domain::Codes(_) => {
+                        Some(&mut qbufs.as_deref_mut().expect("code domain implies buffers").codes)
+                    }
+                };
+                Self::flatten_to_sample_major(ws, codes, slot, dims, batch);
+            }
             match &layers[i] {
                 Layer::Conv2d(conv) => {
                     let geom = conv.geometry();
@@ -536,36 +560,15 @@ impl BatchPlan {
                                 &mut src_c[..in_len],
                             );
                         }
-                        match ql.out {
+                        let (dst, next) = match ql.out {
                             None => {
-                                quant_conv_forward(
-                                    conv,
-                                    ql,
-                                    &src_c[..in_len],
-                                    batch,
-                                    fuse,
-                                    col8,
-                                    rows16,
-                                    acc,
-                                    QuantDst::F32(&mut ws.slot_mut(1 - *slot)[..out_len]),
-                                )?;
-                                domain = Domain::F32;
+                                (QuantDst::F32(&mut ws.slot_mut(1 - *slot)[..out_len]), Domain::F32)
                             }
-                            Some(p) => {
-                                quant_conv_forward(
-                                    conv,
-                                    ql,
-                                    &src_c[..in_len],
-                                    batch,
-                                    fuse,
-                                    col8,
-                                    rows16,
-                                    acc,
-                                    QuantDst::Codes(&mut dst_c[..out_len]),
-                                )?;
-                                domain = Domain::Codes(p);
-                            }
-                        }
+                            Some(p) => (QuantDst::Codes(&mut dst_c[..out_len]), Domain::Codes(p)),
+                        };
+                        let src = &src_c[..in_len];
+                        quant_conv_forward(conv, ql, src, batch, fuse, col8, rows16, acc, dst)?;
+                        domain = next;
                     } else {
                         debug_assert_eq!(domain, Domain::F32, "float conv fed from code domain");
                         let (src, dst) = ws.pair_mut(*slot, 1 - *slot);
@@ -582,16 +585,6 @@ impl BatchPlan {
                     i += if fuse { 2 } else { 1 };
                 }
                 Layer::Dense(dense) => {
-                    // Dense layers want the sample-major flat layout; a wide
-                    // spatial activation is flattened implicitly, mirroring
-                    // the single-input path's tolerance of a missing Flatten.
-                    match domain {
-                        Domain::F32 => Self::flatten_to_sample_major(ws, slot, dims, batch),
-                        Domain::Codes(_) => {
-                            let bufs = qbufs.as_deref_mut().expect("code domain implies buffers");
-                            Self::flatten_codes_to_sample_major(&mut bufs.codes, slot, dims, batch);
-                        }
-                    }
                     if dims.per_sample() != dense.in_features() {
                         return Err(shape_error("dense(batch)", &[dense.in_features()], dims));
                     }
@@ -607,34 +600,24 @@ impl BatchPlan {
                                 &mut src_c[..in_f * batch],
                             );
                         }
-                        match ql.out {
+                        let out_len = out_f * batch;
+                        let (dst, next) = match ql.out {
                             None => {
-                                quant_dense_forward(
-                                    ql,
-                                    &src_c[..in_f * batch],
-                                    in_f,
-                                    batch,
-                                    fuse,
-                                    xs16,
-                                    acc,
-                                    QuantDst::F32(&mut ws.slot_mut(1 - *slot)[..out_f * batch]),
-                                );
-                                domain = Domain::F32;
+                                (QuantDst::F32(&mut ws.slot_mut(1 - *slot)[..out_len]), Domain::F32)
                             }
-                            Some(p) => {
-                                quant_dense_forward(
-                                    ql,
-                                    &src_c[..in_f * batch],
-                                    in_f,
-                                    batch,
-                                    fuse,
-                                    xs16,
-                                    acc,
-                                    QuantDst::Codes(&mut dst_c[..out_f * batch]),
-                                );
-                                domain = Domain::Codes(p);
-                            }
-                        }
+                            Some(p) => (QuantDst::Codes(&mut dst_c[..out_len]), Domain::Codes(p)),
+                        };
+                        quant_dense_forward(
+                            ql,
+                            &src_c[..in_f * batch],
+                            in_f,
+                            batch,
+                            fuse,
+                            xs16,
+                            acc,
+                            dst,
+                        );
+                        domain = next;
                     } else {
                         debug_assert_eq!(domain, Domain::F32, "float dense fed from code domain");
                         let (src, dst) = ws.pair_mut(*slot, 1 - *slot);
@@ -695,16 +678,7 @@ impl BatchPlan {
                     *dims = BatchDims::Spatial(out_dims);
                     i += 1;
                 }
-                Layer::Flatten(_) => {
-                    match domain {
-                        Domain::F32 => Self::flatten_to_sample_major(ws, slot, dims, batch),
-                        Domain::Codes(_) => {
-                            let bufs = qbufs.as_deref_mut().expect("code domain implies buffers");
-                            Self::flatten_codes_to_sample_major(&mut bufs.codes, slot, dims, batch);
-                        }
-                    }
-                    i += 1;
-                }
+                Layer::Flatten(_) => i += 1,
             }
         }
         if domain != Domain::F32 {
@@ -736,7 +710,7 @@ impl BatchPlan {
         )?;
         // A branch that ends spatially (no trailing Flatten/Dense) still needs
         // the sample-major layout before per-sample logits can be read.
-        BatchPlan::flatten_to_sample_major(&mut self.branch, &mut slot, &mut dims, batch);
+        BatchPlan::flatten_to_sample_major(&mut self.branch, None, &mut slot, &mut dims, batch);
         let classes = self.classes;
         if dims.per_sample() != classes {
             return Err(shape_error("branch(batch logits)", &[classes], &dims));
@@ -880,6 +854,48 @@ impl BatchPlan {
     }
 }
 
+/// Transposes a wide spatial activation (`[C, batch, H·W]`) in `src` into
+/// the sample-major flat layout (`[batch, C·H·W]`) in `dst` — the explicit
+/// work the batched `Flatten` performs, on floats and `i8` codes alike.
+/// Values are only moved, never changed, so logits stay bit-identical to the
+/// allocating path (whose `Flatten` is a pure no-op).
+fn transpose_to_sample_major<T: Copy>(src: &[T], dst: &mut [T], chw: [usize; 3], batch: usize) {
+    let [c, h, w] = chw;
+    let plane = h * w;
+    for ch in 0..c {
+        for s in 0..batch {
+            let src_off = (ch * batch + s) * plane;
+            let dst_off = (s * c + ch) * plane;
+            dst[dst_off..dst_off + plane].copy_from_slice(&src[src_off..src_off + plane]);
+        }
+    }
+}
+
+/// Largest per-sample activation and `im2col` column buffer (element counts)
+/// any layer of `arch` needs. Shared by plan construction, the per-call
+/// compatibility check and the quantized scratch sizing; iterates the specs
+/// without allocating.
+pub(crate) fn buffer_requirements(arch: &MultiExitArchitecture) -> (usize, usize) {
+    let mut max_act: usize = arch.input_dims().iter().product();
+    let mut max_col = 0usize;
+    for spec in arch.all_layers() {
+        max_act = max_act.max(spec.output_dims.iter().product());
+        if let LayerSpecKind::Conv { in_channels, kernel, .. } = &spec.kind {
+            let cols: usize = spec.output_dims[1] * spec.output_dims[2];
+            max_col = max_col.max(in_channels * kernel * kernel * cols);
+        }
+    }
+    (max_act, max_col)
+}
+
+/// Validates an exit index against `net`.
+pub(crate) fn check_exit(net: &MultiExitNetwork, exit: usize) -> Result<()> {
+    if exit >= net.num_exits() {
+        return Err(NnError::InvalidExit { requested: exit, available: net.num_exits() });
+    }
+    Ok(())
+}
+
 fn shape_error(layer: &str, expected: &[usize], dims: &BatchDims) -> NnError {
     let actual = match dims {
         BatchDims::Spatial(d) => d.to_vec(),
@@ -910,11 +926,12 @@ impl MultiExitNetwork {
         BatchPlan::for_network_quantized(self, config, max_batch)
     }
 
-    /// Batched counterpart of [`MultiExitNetwork::forward_to_exit_with`]:
-    /// runs every input of the batch up to (and including) `exit` in one
-    /// widened pass inside `plan`'s pre-sized buffers. After the plan's
-    /// construction this performs zero heap allocations, and each sample's
-    /// logits are bit-identical to a separate single-input planned pass.
+    /// Planned counterpart of [`MultiExitNetwork::forward_to_exit`]: runs
+    /// every input of the batch up to (and including) `exit` in one widened
+    /// pass inside `plan`'s pre-sized buffers. After the plan's construction
+    /// this performs zero heap allocations, and each sample's logits are
+    /// bit-identical to the allocating path. A single input is a batch of
+    /// one.
     ///
     /// The plan caches the batched trunk activation, so
     /// [`MultiExitNetwork::continue_to_exit_batch_with`] can resume the whole
@@ -935,7 +952,7 @@ impl MultiExitNetwork {
         Ok(plan.output(exit))
     }
 
-    /// Batched counterpart of [`MultiExitNetwork::continue_to_exit_with`]:
+    /// Planned counterpart of [`MultiExitNetwork::continue_to_exit`]:
     /// continues the cached batch to a strictly deeper exit without
     /// recomputing the shared trunk and without allocating.
     ///
@@ -954,8 +971,8 @@ impl MultiExitNetwork {
         Ok(plan.output(exit))
     }
 
-    /// Batched counterpart of [`MultiExitNetwork::forward_all_with`]:
-    /// evaluates every exit on the batch, invoking `visit` with each exit's
+    /// Planned counterpart of [`MultiExitNetwork::forward_all`]: evaluates
+    /// every exit on the batch, invoking `visit` with each exit's
     /// [`BatchOutput`] in order. Allocation-free like the other batched entry
     /// points; per-exit results remain readable from the plan afterwards.
     ///
@@ -981,7 +998,9 @@ impl MultiExitNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::{config_from_bits, fake_quant_logits};
     use crate::spec::{lenet_multi_exit, tiny_multi_exit};
+    use ie_tensor::QuantParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -992,6 +1011,10 @@ mod tests {
 
     fn random_batch(rng: &mut StdRng, dims: &[usize], n: usize) -> Vec<Tensor> {
         (0..n).map(|_| Tensor::randn(rng, dims, 0.0, 1.0)).collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     /// Zeroes every other filter of each conv and marks it sparse, emulating
@@ -1013,25 +1036,28 @@ mod tests {
         }
     }
 
+    /// Every sample of a batched pass against the allocating
+    /// `forward_to_exit` oracle, bit for bit.
     fn assert_batch_matches_singles(net: &MultiExitNetwork, inputs: &[Tensor]) {
         let mut batch_plan = net.batch_plan(inputs.len());
-        let mut single_plan = net.execution_plan();
         let refs: Vec<&Tensor> = inputs.iter().collect();
         for exit in 0..net.num_exits() {
             let out = net.forward_to_exit_batch_with(&mut batch_plan, &refs, exit).unwrap();
             for (i, input) in inputs.iter().enumerate() {
-                let single = net.forward_to_exit_with(&mut single_plan, input, exit).unwrap();
+                let (single, _) = net.forward_to_exit(input, exit).unwrap();
+                assert_eq!(out.sample(i).exit, single.exit, "exit {exit} sample {i}");
                 assert_eq!(out.prediction(i), single.prediction, "exit {exit} sample {i}");
                 assert_eq!(
                     out.confidence(i).to_bits(),
                     single.confidence.to_bits(),
                     "exit {exit} sample {i}"
                 );
-                let single_logits: Vec<u32> =
-                    single_plan.logits(exit).iter().map(|v| v.to_bits()).collect();
-                let batch_logits: Vec<u32> = out.logits(i).iter().map(|v| v.to_bits()).collect();
-                assert_eq!(batch_logits, single_logits, "exit {exit} sample {i} logits");
-                assert_eq!(out.probs(i), single_plan.probs(exit), "exit {exit} sample {i}");
+                assert_eq!(
+                    bits(out.logits(i)),
+                    bits(single.logits.as_slice()),
+                    "exit {exit} sample {i} logits"
+                );
+                assert_eq!(out.probs(i), single.probs.as_slice(), "exit {exit} sample {i}");
             }
         }
     }
@@ -1050,8 +1076,10 @@ mod tests {
     fn batched_forward_matches_on_the_paper_backbone() {
         let mut rng = StdRng::seed_from_u64(3);
         let net = MultiExitNetwork::from_architecture(&lenet_multi_exit(), &mut rng).unwrap();
-        let inputs = random_batch(&mut rng, &[3, 32, 32], 4);
-        assert_batch_matches_singles(&net, &inputs);
+        for n in [1usize, 4] {
+            let inputs = random_batch(&mut rng, &[3, 32, 32], n);
+            assert_batch_matches_singles(&net, &inputs);
+        }
     }
 
     #[test]
@@ -1080,8 +1108,14 @@ mod tests {
         net.forward_to_exit_batch_with(&mut incremental, &refs, 0).unwrap();
         let out = net.continue_to_exit_batch_with(&mut incremental, 1).unwrap();
         assert_eq!(out.exit(), 1);
-        for i in 0..3 {
+        for (i, input) in inputs.iter().enumerate() {
             assert_eq!(out.logits(i), direct.output(1).logits(i), "sample {i}");
+            // And the allocating incremental path agrees.
+            let (_, state) = net.forward_to_exit(input, 0).unwrap();
+            let (reference, _) = net.continue_to_exit(&state, 1).unwrap();
+            assert_eq!(out.prediction(i), reference.prediction, "sample {i}");
+            assert_eq!(out.logits(i), reference.logits.as_slice(), "sample {i}");
+            assert_eq!(out.probs(i), reference.probs.as_slice(), "sample {i}");
         }
         assert_eq!(incremental.segments_done(), 2);
         assert_eq!(incremental.last_exit(), Some(1));
@@ -1105,6 +1139,7 @@ mod tests {
             let reference = net.forward_all(input).unwrap();
             for out in &reference {
                 assert_eq!(plan.output(out.exit).prediction(i), out.prediction);
+                assert_eq!(plan.output(out.exit).probs(i), out.probs.as_slice());
             }
         }
     }
@@ -1143,6 +1178,10 @@ mod tests {
             net.forward_to_exit_batch_with(&mut plan, &[&x, &y], 0),
             Err(NnError::InputShapeMismatch { .. })
         ));
+        // A wrong input shape is rejected by the first conv layer.
+        assert!(net
+            .forward_to_exit_batch_with(&mut plan, &[&Tensor::zeros(&[1, 9, 8])], 0)
+            .is_err());
         // A failed pass invalidates the cached state.
         assert!(matches!(
             net.continue_to_exit_batch_with(&mut plan, 1),
@@ -1152,30 +1191,57 @@ mod tests {
         plan.reset();
         net.forward_to_exit_batch_with(&mut plan, &[&x, &x], 0).unwrap();
         assert_eq!(plan.last_exit(), Some(0));
+        assert_eq!(plan.segments_done(), 1);
         assert_eq!(plan.batch(), 2);
     }
 
-    fn mixed_quant_config(net: &MultiExitNetwork) -> crate::quant::QuantConfig {
-        use ie_tensor::QuantParams;
+    #[test]
+    fn failed_forward_invalidates_the_cached_trunk_state() {
+        // A failed pass clobbers the trunk buffers before the error surfaces;
+        // the cached state must be invalidated so a continuation cannot
+        // silently compute from the half-overwritten activation.
+        let net = tiny_net(9);
+        let mut plan = net.batch_plan(1);
+        let good = Tensor::ones(&[1, 8, 8]);
+        net.forward_to_exit_batch_with(&mut plan, &[&good], 0).unwrap();
+        assert_eq!(plan.last_exit(), Some(0));
+        let bad = Tensor::zeros(&[1, 9, 8]); // fits the buffer, fails the conv check
+        assert!(net.forward_to_exit_batch_with(&mut plan, &[&bad], 0).is_err());
+        assert_eq!(plan.last_exit(), None);
+        assert!(matches!(
+            net.continue_to_exit_batch_with(&mut plan, 1),
+            Err(NnError::MissingPlannedState)
+        ));
+    }
+
+    /// A per-layer kernel mix over the canonical layer order, with every
+    /// entry chosen by `pick(i)`: `Some((bits, params))` quantizes layer `i`.
+    fn quant_config(
+        net: &MultiExitNetwork,
+        pick: impl Fn(usize, QuantParams) -> Option<(u8, QuantParams)>,
+    ) -> crate::quant::QuantConfig {
         let n = net.architecture().compressible_layers().len();
         let first = QuantParams::from_range(-3.0, 3.0, 8);
         let act = QuantParams::from_range(0.0, 8.0, 8);
-        let entries: Vec<Option<(u8, QuantParams)>> = (0..n)
-            .map(|i| match i % 4 {
-                0 => Some((8, if i == 0 { first } else { act })),
-                1 => Some((11, act)),
-                2 => None,
-                _ => Some((6, act)),
-            })
-            .collect();
-        crate::quant::config_from_bits(net, &entries).unwrap()
+        let entries: Vec<Option<(u8, QuantParams)>> =
+            (0..n).map(|i| pick(i, if i == 0 { first } else { act })).collect();
+        config_from_bits(net, &entries).unwrap()
+    }
+
+    fn mixed_quant_config(net: &MultiExitNetwork) -> crate::quant::QuantConfig {
+        quant_config(net, |i, p| match i % 4 {
+            0 => Some((8, p)),
+            1 => Some((11, p)),
+            2 => None,
+            _ => Some((6, p)),
+        })
     }
 
     #[test]
     fn quantized_batched_forward_is_bit_identical_to_quantized_single_planned() {
         let net = tiny_net(30);
         let cfg = mixed_quant_config(&net);
-        let mut single = net.execution_plan_quantized(&cfg).unwrap();
+        let model = QuantizedModel::for_network(&net, &cfg).unwrap();
         let mut rng = StdRng::seed_from_u64(31);
         for n in [1usize, 3, 8] {
             let inputs = random_batch(&mut rng, &[1, 8, 8], n);
@@ -1185,15 +1251,61 @@ mod tests {
             for exit in 0..net.num_exits() {
                 let out = net.forward_to_exit_batch_with(&mut plan, &refs, exit).unwrap();
                 for (i, input) in inputs.iter().enumerate() {
-                    let s = net.forward_to_exit_with(&mut single, input, exit).unwrap();
-                    assert_eq!(out.prediction(i), s.prediction, "batch {n} exit {exit} sample {i}");
-                    let batch_bits: Vec<u32> = out.logits(i).iter().map(|v| v.to_bits()).collect();
-                    let single_bits: Vec<u32> =
-                        single.logits(exit).iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(batch_bits, single_bits, "batch {n} exit {exit} sample {i}");
+                    let reference = fake_quant_logits(&net, &model, input, exit).unwrap();
+                    assert_eq!(
+                        bits(out.logits(i)),
+                        bits(&reference),
+                        "batch {n} exit {exit} sample {i}"
+                    );
                 }
             }
         }
+    }
+
+    #[test]
+    fn quantized_plan_is_bit_identical_to_the_fake_quant_reference() {
+        let net = tiny_net(20);
+        // Mixed per-layer kernels (i8, f32, i16, i8, f32 across the canonical
+        // order, so float→int and int→float boundaries are all exercised) and
+        // a fully quantized plan that chains codes through every list.
+        let mixed = quant_config(&net, |i, p| match i % 5 {
+            0 => Some((8, p)),
+            2 => Some((12, p)),
+            3 => Some((4, p)),
+            _ => None,
+        });
+        let full = quant_config(&net, |_, p| Some((8, p)));
+        let mut rng = StdRng::seed_from_u64(21);
+        for cfg in [&mixed, &full] {
+            let model = QuantizedModel::for_network(&net, cfg).unwrap();
+            let mut plan = net.batch_plan_quantized(cfg, 1).unwrap();
+            for _ in 0..3 {
+                let x = Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0);
+                for exit in 0..net.num_exits() {
+                    let out = net.forward_to_exit_batch_with(&mut plan, &[&x], exit).unwrap();
+                    let reference = fake_quant_logits(&net, &model, &x, exit).unwrap();
+                    assert_eq!(bits(out.logits(0)), bits(&reference), "exit {exit}");
+                    assert_eq!(out.exit(), exit);
+                }
+                // Incremental continuation reuses the cached f32 trunk.
+                net.forward_to_exit_batch_with(&mut plan, &[&x], 0).unwrap();
+                let out = net.continue_to_exit_batch_with(&mut plan, 1).unwrap();
+                let reference = fake_quant_logits(&net, &model, &x, 1).unwrap();
+                assert_eq!(out.logits(0), reference.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn quantized_plan_rejects_a_mismatched_network() {
+        let tiny = tiny_net(24);
+        let cfg = quant_config(&tiny, |_, p| Some((8, p)));
+        let mut plan = tiny.batch_plan_quantized(&cfg, 1).unwrap();
+        let mut rng = StdRng::seed_from_u64(25);
+        let lenet = MultiExitNetwork::from_architecture(&lenet_multi_exit(), &mut rng).unwrap();
+        let x = Tensor::zeros(&[3, 32, 32]);
+        let err = lenet.forward_to_exit_batch_with(&mut plan, &[&x], 0).unwrap_err();
+        assert!(matches!(err, NnError::InvalidSpec(_)), "got {err:?}");
     }
 
     #[test]
@@ -1232,12 +1344,18 @@ mod tests {
 
     #[test]
     fn plan_for_a_smaller_architecture_is_rejected_not_a_panic() {
+        // tiny (3 classes, 2 exits) vs lenet (10 classes, 3 exits): neither
+        // plan fits the other network, whichever way round.
         let mut rng = StdRng::seed_from_u64(11);
         let lenet = MultiExitNetwork::from_architecture(&lenet_multi_exit(), &mut rng).unwrap();
         let tiny = tiny_net(11);
         let mut tiny_plan = tiny.batch_plan(2);
         let x = Tensor::zeros(&[3, 32, 32]);
         let err = lenet.forward_to_exit_batch_with(&mut tiny_plan, &[&x], 0).unwrap_err();
+        assert!(matches!(err, NnError::InvalidSpec(_)), "got {err:?}");
+        let mut lenet_plan = lenet.batch_plan(1);
+        let y = Tensor::zeros(&[1, 8, 8]);
+        let err = tiny.forward_to_exit_batch_with(&mut lenet_plan, &[&y], 0).unwrap_err();
         assert!(matches!(err, NnError::InvalidSpec(_)), "got {err:?}");
     }
 }

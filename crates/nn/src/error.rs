@@ -41,7 +41,7 @@ pub enum NnError {
     /// to a non-existent trunk layer).
     InvalidSpec(String),
     /// A planned continuation was requested before any planned forward pass
-    /// populated the execution plan's cached trunk state.
+    /// populated the batch plan's cached trunk state.
     MissingPlannedState,
     /// A sharded-evaluation worker thread panicked. Instead of aborting the
     /// whole process on join, the panic is surfaced as an error naming the
@@ -80,7 +80,7 @@ impl fmt::Display for NnError {
             NnError::InvalidSpec(msg) => write!(f, "invalid architecture spec: {msg}"),
             NnError::MissingPlannedState => write!(
                 f,
-                "continue_to_exit_with called on an execution plan with no cached forward state"
+                "continue_to_exit_batch_with called on a batch plan with no cached forward state"
             ),
             NnError::WorkerPanic { worker, shard_start, shard_len, message } => write!(
                 f,

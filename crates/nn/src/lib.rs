@@ -8,13 +8,13 @@
 //! * a [`MultiExitNetwork`] that mirrors the paper's early-exit LeNet backbone
 //!   and supports **incremental inference** (run to exit *i*, later continue to
 //!   exit *i + 1* without recomputing the shared trunk),
-//! * an [`ExecutionPlan`] for statically planned, **allocation-free**
-//!   inference: pre-sized buffers, fused bias+ReLU GEMM epilogues, and planned
-//!   `*_with` variants of every forward entry point that are bit-identical to
-//!   the allocating ones,
-//! * a [`BatchPlan`] that runs N inputs per pass through one widened GEMM per
-//!   layer, bit-identical per sample to the single-input plan, plus a sharded
-//!   multi-threaded dataset evaluator ([`train::evaluate_batched`]),
+//! * a [`BatchPlan`] for statically planned, **allocation-free** inference:
+//!   pre-sized buffers, fused bias+ReLU GEMM epilogues, and N inputs per pass
+//!   through one widened GEMM per layer (a single input is a batch of one).
+//!   Its planned `*_batch_with` entry points are bit-identical per sample to
+//!   the allocating [`MultiExitNetwork::forward_to_exit`]; a sharded
+//!   multi-threaded dataset evaluator ([`train::evaluate_batched`]) builds on
+//!   it,
 //! * a [`BackwardPlan`] for statically planned, **allocation-free** training
 //!   steps — bit-identical loss and gradients to the allocating
 //!   [`MultiExitNetwork::backward`], with an optional fake-quant-in-the-loop
@@ -56,7 +56,6 @@ pub mod loss;
 mod mlp;
 mod network;
 mod optim;
-mod plan;
 mod pool;
 pub mod quant;
 pub mod spec;
@@ -64,7 +63,7 @@ pub mod train;
 
 pub use activation::Relu;
 pub use backward::{BackwardPlan, GradStore};
-pub use batch::{BatchOutput, BatchPlan};
+pub use batch::{BatchOutput, BatchPlan, PlannedOutput};
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use error::NnError;
@@ -72,7 +71,6 @@ pub use layer::{Flatten, Layer};
 pub use mlp::{Mlp, OutputActivation};
 pub use network::{ExitOutput, ForwardState, MultiExitNetwork};
 pub use optim::Sgd;
-pub use plan::{ExecutionPlan, PlannedOutput};
 pub use pool::MaxPool2d;
 
 /// Crate-wide result alias.

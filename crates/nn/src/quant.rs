@@ -11,7 +11,7 @@
 //!   class when it is ≤ 16; layers without a config (or with wider weights)
 //!   keep the `f32` kernels. Activation codes are always at most 8 bits and
 //!   are stored as `i8`. Both integer classes execute through the shared
-//!   transposed madd GEMM (see [`QuantizedLayer`]).
+//!   transposed madd GEMM ([`ie_tensor::gemm_i16t_into`]).
 //! * **Packed weights** — [`QuantizedModel::for_network`] quantizes every
 //!   configured layer's weights **once**, into depth-padded `[O, kp]` i16
 //!   code rows with pruned-away input channels dropped, together with the
@@ -30,7 +30,7 @@
 //!   helpers. Integer accumulation is associative, so the blocked kernels
 //!   must (and do — property-tested) reproduce it bit for bit.
 
-use crate::plan::buffer_requirements;
+use crate::batch::buffer_requirements;
 use crate::spec::{LayerSpecKind, MultiExitArchitecture};
 use crate::{Conv2d, Dense, Layer, MultiExitNetwork, NnError, Result};
 use ie_tensor::{
@@ -274,8 +274,7 @@ fn validate_entry(index: usize, cfg: &LayerQuantConfig) -> Result<()> {
 
 /// A network's pre-quantized layer parameters, aligned with its trunk
 /// segments and branches — the per-layer side of a quantized
-/// [`crate::ExecutionPlan`] / [`crate::BatchPlan`], built once at plan
-/// construction.
+/// [`crate::BatchPlan`], built once at plan construction.
 #[derive(Debug, Clone)]
 pub struct QuantizedModel {
     segments: Vec<Vec<Option<QuantizedLayer>>>,
@@ -1086,9 +1085,9 @@ mod tests {
         // The engine and the reference agree end to end on that branch.
         let x = Tensor::ones(&[3, 32, 32]);
         let reference = fake_quant_logits(&net, &model, &x, 1).unwrap();
-        let mut plan = net.execution_plan_quantized(&cfg).unwrap();
-        net.forward_to_exit_with(&mut plan, &x, 1).unwrap();
-        assert_eq!(plan.logits(1), reference.as_slice());
+        let mut plan = net.batch_plan_quantized(&cfg, 1).unwrap();
+        let out = net.forward_to_exit_batch_with(&mut plan, &[&x], 1).unwrap();
+        assert_eq!(out.logits(0), reference.as_slice());
     }
 
     #[test]

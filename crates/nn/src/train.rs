@@ -47,7 +47,9 @@ pub struct EpochStats {
 }
 
 /// Trains `network` on the training samples and evaluates each exit on the
-/// test samples after every epoch.
+/// test samples after every epoch: [`train_batched`] with the
+/// environment-driven worker count ([`train_threads`]) and a fresh
+/// full-precision [`BatchBackwardPlan`].
 ///
 /// # Errors
 ///
@@ -58,56 +60,25 @@ pub fn train(
     test_set: &[Sample],
     config: &TrainConfig,
 ) -> Result<Vec<EpochStats>> {
-    let mut sgd = Sgd::new(config.learning_rate).with_decay(config.lr_decay);
-    let mut history = Vec::with_capacity(config.epochs);
-    for epoch in 0..config.epochs {
-        let mut total_loss = 0.0;
-        let mut count = 0usize;
-        for batch in train_set.chunks(config.batch_size.max(1)) {
-            for sample in batch {
-                total_loss +=
-                    network.backward(&sample.image, sample.label, &config.exit_weights)?;
-                count += 1;
-            }
-            // Average the gradient over the batch by scaling the step.
-            network.apply_gradients(sgd.learning_rate() / batch.len() as f32);
-        }
-        sgd.end_epoch();
-        let exit_accuracy = evaluate(network, test_set)?;
-        history.push(EpochStats {
-            epoch,
-            mean_loss: if count > 0 { total_loss / count as f32 } else { 0.0 },
-            exit_accuracy,
-        });
-    }
-    Ok(history)
+    train_batched(
+        network,
+        train_set,
+        test_set,
+        config,
+        train_threads(),
+        &mut BatchBackwardPlan::new(),
+    )
 }
 
-/// Evaluates the accuracy of every exit on the given samples.
-///
-/// Runs the planned (allocation-free) forward path — one
-/// [`crate::ExecutionPlan`] is built up front and reused across every sample,
-/// so the evaluation loop itself performs no per-sample tensor allocations.
-/// Accuracies are identical to running the allocating
-/// [`MultiExitNetwork::forward_all`] per sample, because the planned path is
-/// bit-identical to it.
+/// Evaluates the accuracy of every exit on the given samples:
+/// [`evaluate_batched`] with the default batch size and the
+/// environment-driven worker count ([`eval_threads`]).
 ///
 /// # Errors
 ///
-/// Propagates layer shape errors.
+/// Propagates layer shape errors from the workers.
 pub fn evaluate(network: &MultiExitNetwork, samples: &[Sample]) -> Result<Vec<f32>> {
-    let num_exits = network.num_exits();
-    let mut plan = network.execution_plan();
-    let mut correct = vec![0usize; num_exits];
-    for sample in samples {
-        network.forward_all_with(&mut plan, &sample.image, |out| {
-            correct[out.exit] += usize::from(out.prediction == sample.label);
-        })?;
-    }
-    if samples.is_empty() {
-        return Ok(vec![0.0; num_exits]);
-    }
-    Ok(correct.iter().map(|&c| c as f32 / samples.len() as f32).collect())
+    evaluate_batched(network, samples, DEFAULT_EVAL_BATCH, eval_threads())
 }
 
 /// Default batch size of the batched evaluators (8 samples per widened pass).
@@ -358,8 +329,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// through [`MultiExitNetwork::forward_all_batch_with`] in chunks of `batch`
 /// samples. Per-shard correct counts are reduced in shard order — integer
 /// sums over a fixed partition — so the result is identical for every thread
-/// count, and because the batched pass is bit-identical to the single-input
-/// planned path, identical to [`evaluate`] as well.
+/// count, and because the batched pass is bit-identical per sample to the
+/// allocating path, identical to counting [`MultiExitNetwork::forward_all`]'s
+/// predictions sample by sample as well.
 ///
 /// Builds fresh plans per call; hot loops should hold a [`BatchPlanPool`]
 /// and call [`evaluate_batched_with_pool`] instead.
@@ -505,9 +477,9 @@ impl QuantPlanPool {
 ///
 /// Sharding and reduction are identical to [`evaluate_batched`]; results are
 /// deterministic and independent of `batch` and `threads` (the quantized
-/// batched pass is bit-identical per sample to the quantized single-input
-/// plan). Quantized plans bake in per-policy weights, so they are built per
-/// call rather than pooled.
+/// batched pass is bit-identical per sample to the fake-quant reference,
+/// [`crate::quant::fake_quant_logits`]). Quantized plans bake in per-policy
+/// weights, so they are built per call rather than pooled.
 ///
 /// # Errors
 ///
@@ -554,16 +526,6 @@ pub fn evaluate_quantized_with_pool(
     let threads = threads.clamp(1, samples.len());
     let plans = pool.ensure(network, config, batch, threads)?;
     evaluate_with_plans(network, samples, batch, plans)
-}
-
-/// [`evaluate_batched`] with the default batch size and the environment-driven
-/// worker count ([`eval_threads`]).
-///
-/// # Errors
-///
-/// Propagates layer shape errors from the workers.
-pub fn evaluate_batched_auto(network: &MultiExitNetwork, samples: &[Sample]) -> Result<Vec<f32>> {
-    evaluate_batched(network, samples, DEFAULT_EVAL_BATCH, eval_threads())
 }
 
 /// Worker-thread count for the batched trainer: `IE_TRAIN_THREADS` via
@@ -813,13 +775,15 @@ impl BatchBackwardPlan {
     }
 }
 
-/// Batched counterpart of [`train`]: same mini-batch schedule, learning-rate
-/// decay and per-epoch evaluation, but each mini-batch runs through
-/// [`BatchBackwardPlan::train_step`] — allocation-free once warm, sharded
-/// across `threads` workers, and (when `plan` carries a fake-quant
+/// Trains `network` on the training samples and evaluates each exit on the
+/// test samples after every epoch ([`evaluate`]). Each mini-batch runs
+/// through [`BatchBackwardPlan::train_step`] — allocation-free once warm,
+/// sharded across `threads` workers, and (when `plan` carries a fake-quant
 /// configuration) with the deployment-time quantization in the training
 /// loop. With a full-precision `plan` the returned history and the trained
-/// weights are bit-identical to [`train`]'s for every `threads` value.
+/// weights are bit-identical, for every `threads` value, to the per-sample
+/// loop of [`MultiExitNetwork::backward`] followed by one
+/// [`MultiExitNetwork::apply_gradients`] per mini-batch.
 ///
 /// # Errors
 ///
@@ -868,6 +832,54 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The sequential accuracy oracle: one allocating
+    /// [`MultiExitNetwork::forward_all`] per sample, correct predictions
+    /// counted per exit.
+    fn reference_evaluate(network: &MultiExitNetwork, samples: &[Sample]) -> Vec<f32> {
+        let mut correct = vec![0usize; network.num_exits()];
+        for sample in samples {
+            for out in network.forward_all(&sample.image).unwrap() {
+                correct[out.exit] += usize::from(out.prediction == sample.label);
+            }
+        }
+        let n = samples.len().max(1) as f32;
+        correct.iter().map(|&c| c as f32 / n).collect()
+    }
+
+    /// The training oracle: the legacy per-sample loop over the allocating
+    /// [`MultiExitNetwork::backward`], one [`MultiExitNetwork::apply_gradients`]
+    /// per mini-batch, evaluated by [`reference_evaluate`] after every epoch.
+    fn legacy_train(
+        network: &mut MultiExitNetwork,
+        train_set: &[Sample],
+        test_set: &[Sample],
+        config: &TrainConfig,
+    ) -> Vec<EpochStats> {
+        let mut sgd = Sgd::new(config.learning_rate).with_decay(config.lr_decay);
+        let mut history = Vec::with_capacity(config.epochs);
+        for epoch in 0..config.epochs {
+            let mut total_loss = 0.0;
+            let mut count = 0usize;
+            for batch in train_set.chunks(config.batch_size.max(1)) {
+                for sample in batch {
+                    total_loss += network
+                        .backward(&sample.image, sample.label, &config.exit_weights)
+                        .unwrap();
+                    count += 1;
+                }
+                // Average the gradient over the batch by scaling the step.
+                network.apply_gradients(sgd.learning_rate() / batch.len() as f32);
+            }
+            sgd.end_epoch();
+            history.push(EpochStats {
+                epoch,
+                mean_loss: if count > 0 { total_loss / count as f32 } else { 0.0 },
+                exit_accuracy: reference_evaluate(network, test_set),
+            });
+        }
+        history
+    }
+
     #[test]
     fn training_improves_over_chance_on_synthetic_data() {
         let data = SyntheticDataset::generate(3, 8, 150, 0.05, 21);
@@ -913,7 +925,7 @@ mod tests {
         config.learning_rate = 0.1;
 
         let mut legacy = reference.clone();
-        let legacy_history = train(&mut legacy, data.train(), data.test(), &config).unwrap();
+        let legacy_history = legacy_train(&mut legacy, data.train(), data.test(), &config);
 
         let mut batched = reference.clone();
         let mut plan = BatchBackwardPlan::new();
@@ -1031,6 +1043,7 @@ mod tests {
         let accs = evaluate(&net, data.test()).unwrap();
         assert_eq!(accs.len(), 2);
         assert!(accs.iter().all(|a| (0.0..=1.0).contains(a)));
+        assert_eq!(accs, reference_evaluate(&net, data.test()));
     }
 
     #[test]
@@ -1044,19 +1057,19 @@ mod tests {
         let data = SyntheticDataset::generate(3, 8, 90, 0.1, 7);
         let mut rng = StdRng::seed_from_u64(6);
         let net = MultiExitNetwork::from_architecture(&tiny_multi_exit(3), &mut rng).unwrap();
-        let reference = evaluate(&net, data.test()).unwrap();
+        let reference = reference_evaluate(&net, data.test());
         for batch in [1usize, 3, 8] {
             for threads in [1usize, 2, 4] {
                 let sharded = evaluate_batched(&net, data.test(), batch, threads).unwrap();
                 assert_eq!(
                     sharded, reference,
-                    "batch {batch} x {threads} threads must match the single-input evaluation"
+                    "batch {batch} x {threads} threads must match the per-sample reference"
                 );
             }
         }
         // More workers than samples degrades gracefully to one per sample.
         let few = &data.test()[..2];
-        assert_eq!(evaluate_batched(&net, few, 4, 16).unwrap(), evaluate(&net, few).unwrap());
+        assert_eq!(evaluate_batched(&net, few, 4, 16).unwrap(), reference_evaluate(&net, few));
     }
 
     #[test]
@@ -1064,7 +1077,7 @@ mod tests {
         let data = SyntheticDataset::generate(3, 8, 60, 0.1, 9);
         let mut rng = StdRng::seed_from_u64(10);
         let net = MultiExitNetwork::from_architecture(&tiny_multi_exit(3), &mut rng).unwrap();
-        let reference = evaluate(&net, data.test()).unwrap();
+        let reference = reference_evaluate(&net, data.test());
         let mut pool = BatchPlanPool::new();
         assert!(pool.is_empty());
         for _ in 0..3 {
@@ -1076,7 +1089,7 @@ mod tests {
         let other = MultiExitNetwork::from_architecture(&tiny_multi_exit(4), &mut rng).unwrap();
         let small = SyntheticDataset::generate(4, 8, 20, 0.1, 11);
         let fresh = evaluate_batched_with_pool(&other, small.test(), 4, 2, &mut pool).unwrap();
-        assert_eq!(fresh, evaluate(&other, small.test()).unwrap());
+        assert_eq!(fresh, reference_evaluate(&other, small.test()));
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Property-based equivalence of the batched and single-input planned paths.
+//! Property-based equivalence of the planned batched path and the allocating
+//! single-input path.
 //!
 //! The contract under test: for ANY batch size in `1..=16`, ANY inputs and
 //! ANY sparse-hint (pruned-weight) configuration, every sample's logits,
 //! probabilities, prediction and confidence from a [`ie_nn::BatchPlan`] pass
-//! are **bit-identical** to running that sample alone through the
-//! single-input [`ie_nn::ExecutionPlan`]. The compressed-policy variant
+//! are **bit-identical** to running that sample alone through the allocating
+//! [`ie_nn::MultiExitNetwork::forward_to_exit`]. The compressed-policy variant
 //! (pruning + quantization applied through real `ie_compress` policies) lives
 //! in `ie_compress`'s tests to keep the dependency direction intact.
 
@@ -50,8 +51,9 @@ fn prune(layers: &mut [Layer], prune_mod: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Batched logits are bit-identical to N independent single-input planned
-    /// passes, for random batch sizes, inputs, seeds and pruning densities.
+    /// Batched logits are bit-identical to N independent allocating
+    /// single-input passes, for random batch sizes, inputs, seeds and pruning
+    /// densities.
     #[test]
     fn batched_logits_bit_identical_to_single_planned(
         seed in 0u64..1_000,
@@ -70,30 +72,29 @@ proptest! {
             .collect();
         let refs: Vec<&Tensor> = inputs.iter().collect();
         let mut batch_plan = net.batch_plan(batch);
-        let mut single_plan = net.execution_plan();
         for exit in 0..net.num_exits() {
             let out = net.forward_to_exit_batch_with(&mut batch_plan, &refs, exit).unwrap();
             prop_assert_eq!(out.len(), batch);
             for (i, input) in inputs.iter().enumerate() {
-                let single = net.forward_to_exit_with(&mut single_plan, input, exit).unwrap();
+                let (single, _) = net.forward_to_exit(input, exit).unwrap();
                 prop_assert_eq!(out.prediction(i), single.prediction);
                 prop_assert_eq!(out.confidence(i).to_bits(), single.confidence.to_bits());
                 let batched_bits: Vec<u32> =
                     out.logits(i).iter().map(|v| v.to_bits()).collect();
                 let single_bits: Vec<u32> =
-                    single_plan.logits(exit).iter().map(|v| v.to_bits()).collect();
+                    single.logits.as_slice().iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(batched_bits, single_bits, "exit {} sample {}", exit, i);
                 let batched_probs: Vec<u32> =
                     out.probs(i).iter().map(|v| v.to_bits()).collect();
                 let single_probs: Vec<u32> =
-                    single_plan.probs(exit).iter().map(|v| v.to_bits()).collect();
+                    single.probs.as_slice().iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(batched_probs, single_probs, "exit {} sample {}", exit, i);
             }
         }
     }
 
     /// A batched continuation equals the batched direct pass to the deeper
-    /// exit (and therefore, transitively, the single-input path).
+    /// exit (and therefore, transitively, the allocating path).
     #[test]
     fn batched_continuation_equals_direct(
         seed in 0u64..1_000,

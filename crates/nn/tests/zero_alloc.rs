@@ -59,11 +59,12 @@ fn warmed_planned_forward_performs_zero_heap_allocations() {
     let lenet = MultiExitNetwork::from_architecture(&lenet_multi_exit(), &mut rng).unwrap();
     let tiny_input = Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0);
     let lenet_input = Tensor::randn(&mut rng, &[3, 32, 32], 0.0, 1.0);
-    let mut tiny_plan = tiny.execution_plan();
-    let mut lenet_plan = lenet.execution_plan();
+    // Single inputs run as one-slot plans.
+    let mut tiny_plan = tiny.batch_plan(1);
+    let mut lenet_plan = lenet.batch_plan(1);
 
-    // Batched counterparts: the ref slices are built up front so the measured
-    // loop only reuses them.
+    // Batched plans: the ref slices are built up front so the measured loop
+    // only reuses them.
     let mut tiny_batch_plan = tiny.batch_plan(2);
     let mut lenet_batch_plan = lenet.batch_plan(4);
     let tiny_batch = [Tensor::randn(&mut rng, &[1, 8, 8], 0.0, 1.0), tiny_input.clone()];
@@ -86,42 +87,52 @@ fn warmed_planned_forward_performs_zero_heap_allocations() {
         })
         .collect();
     let quant_cfg = config_from_bits(&lenet, &entries).unwrap();
-    let mut quant_plan = lenet.execution_plan_quantized(&quant_cfg).unwrap();
+    let mut quant_plan = lenet.batch_plan_quantized(&quant_cfg, 1).unwrap();
     let mut quant_batch_plan = lenet.batch_plan_quantized(&quant_cfg, 4).unwrap();
 
     // Warm-up: touch every code path the measured section will run.
     for _ in 0..2 {
-        tiny.forward_to_exit_with(&mut tiny_plan, &tiny_input, 0).unwrap();
-        tiny.continue_to_exit_with(&mut tiny_plan, 1).unwrap();
-        tiny.forward_all_with(&mut tiny_plan, &tiny_input, |_| {}).unwrap();
+        tiny.forward_to_exit_batch_with(&mut tiny_plan, &[&tiny_input], 0).unwrap();
+        tiny.continue_to_exit_batch_with(&mut tiny_plan, 1).unwrap();
+        tiny.forward_all_batch_with(&mut tiny_plan, &[&tiny_input], |_| {}).unwrap();
         for exit in 0..3 {
-            lenet.forward_to_exit_with(&mut lenet_plan, &lenet_input, exit).unwrap();
+            lenet.forward_to_exit_batch_with(&mut lenet_plan, &[&lenet_input], exit).unwrap();
         }
-        lenet.forward_to_exit_with(&mut lenet_plan, &lenet_input, 0).unwrap();
-        lenet.continue_to_exit_with(&mut lenet_plan, 2).unwrap();
+        lenet.forward_to_exit_batch_with(&mut lenet_plan, &[&lenet_input], 0).unwrap();
+        lenet.continue_to_exit_batch_with(&mut lenet_plan, 2).unwrap();
         tiny.forward_all_batch_with(&mut tiny_batch_plan, &tiny_refs, |_| {}).unwrap();
         lenet.forward_to_exit_batch_with(&mut lenet_batch_plan, &lenet_refs, 0).unwrap();
         lenet.continue_to_exit_batch_with(&mut lenet_batch_plan, 2).unwrap();
-        lenet.forward_to_exit_with(&mut quant_plan, &lenet_input, 0).unwrap();
-        lenet.continue_to_exit_with(&mut quant_plan, 2).unwrap();
+        lenet.forward_to_exit_batch_with(&mut quant_plan, &[&lenet_input], 0).unwrap();
+        lenet.continue_to_exit_batch_with(&mut quant_plan, 2).unwrap();
         lenet.forward_to_exit_batch_with(&mut quant_batch_plan, &lenet_refs, 2).unwrap();
     }
 
     let before = allocations_on_this_thread();
     let mut checksum = 0usize;
     for _ in 0..10 {
-        checksum += tiny.forward_to_exit_with(&mut tiny_plan, &tiny_input, 0).unwrap().prediction;
-        checksum += tiny.continue_to_exit_with(&mut tiny_plan, 1).unwrap().prediction;
-        tiny.forward_all_with(&mut tiny_plan, &tiny_input, |out| checksum += out.prediction)
-            .unwrap();
+        checksum += tiny
+            .forward_to_exit_batch_with(&mut tiny_plan, &[&tiny_input], 0)
+            .unwrap()
+            .sample(0)
+            .prediction;
+        checksum += tiny.continue_to_exit_batch_with(&mut tiny_plan, 1).unwrap().prediction(0);
+        tiny.forward_all_batch_with(&mut tiny_plan, &[&tiny_input], |out| {
+            checksum += out.prediction(0);
+        })
+        .unwrap();
         for exit in 0..3 {
-            checksum +=
-                lenet.forward_to_exit_with(&mut lenet_plan, &lenet_input, exit).unwrap().prediction;
+            checksum += lenet
+                .forward_to_exit_batch_with(&mut lenet_plan, &[&lenet_input], exit)
+                .unwrap()
+                .prediction(0);
         }
-        checksum +=
-            lenet.forward_to_exit_with(&mut lenet_plan, &lenet_input, 0).unwrap().prediction;
-        checksum += lenet.continue_to_exit_with(&mut lenet_plan, 2).unwrap().prediction;
-        // A warmed batched pass is equally allocation-free.
+        checksum += lenet
+            .forward_to_exit_batch_with(&mut lenet_plan, &[&lenet_input], 0)
+            .unwrap()
+            .prediction(0);
+        checksum += lenet.continue_to_exit_batch_with(&mut lenet_plan, 2).unwrap().prediction(0);
+        // A warmed multi-sample pass is equally allocation-free.
         tiny.forward_all_batch_with(&mut tiny_batch_plan, &tiny_refs, |out| {
             checksum += out.prediction(0) + out.prediction(1);
         })
@@ -133,10 +144,12 @@ fn warmed_planned_forward_performs_zero_heap_allocations() {
         checksum +=
             lenet.continue_to_exit_batch_with(&mut lenet_batch_plan, 2).unwrap().prediction(1);
         // A warmed quantized plan (integer kernels + requantization) is
-        // equally allocation-free, single-input and batched.
-        checksum +=
-            lenet.forward_to_exit_with(&mut quant_plan, &lenet_input, 0).unwrap().prediction;
-        checksum += lenet.continue_to_exit_with(&mut quant_plan, 2).unwrap().prediction;
+        // equally allocation-free, one-slot and batched.
+        checksum += lenet
+            .forward_to_exit_batch_with(&mut quant_plan, &[&lenet_input], 0)
+            .unwrap()
+            .prediction(0);
+        checksum += lenet.continue_to_exit_batch_with(&mut quant_plan, 2).unwrap().prediction(0);
         checksum += lenet
             .forward_to_exit_batch_with(&mut quant_batch_plan, &lenet_refs, 2)
             .unwrap()

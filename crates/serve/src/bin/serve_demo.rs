@@ -21,7 +21,7 @@
 
 use ie_nn::dataset::SyntheticDataset;
 use ie_nn::spec::tiny_multi_exit;
-use ie_nn::train::BatchPlanPool;
+use ie_nn::train::{classify_thread_override, BatchPlanPool, ThreadOverride};
 use ie_nn::MultiExitNetwork;
 use ie_runtime::{LatencyAdmission, StateDiscretizer};
 use ie_serve::{
@@ -30,20 +30,45 @@ use ie_serve::{
 };
 use std::time::Instant;
 
-fn env_usize(var: &str, default: usize) -> usize {
-    std::env::var(var).ok().and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or(default)
+/// Resolves a positive-integer knob from its raw environment value: the
+/// value itself when it is a positive integer, otherwise `default`. A
+/// set-but-invalid value (`abc`, `0`) also yields the warning to print, so a
+/// mislabelled run cannot pass for a configured one.
+fn parse_knob(var: &str, raw: Option<&str>, default: usize) -> (usize, Option<String>) {
+    match classify_thread_override(raw) {
+        ThreadOverride::Threads(n) => (n, None),
+        ThreadOverride::Unset => (default, None),
+        ThreadOverride::Invalid { value, .. } => (
+            default,
+            Some(format!(
+                "warning: ignoring {var}={value:?} (not a positive integer); \
+                 falling back to {default}"
+            )),
+        ),
+    }
 }
 
-/// Measures each exit's single-input latency (seconds) on the planned path.
-/// Informational only — admission uses the fixed cost table below.
+fn env_usize(var: &str, default: usize) -> usize {
+    let (value, warning) = parse_knob(var, std::env::var(var).ok().as_deref(), default);
+    if let Some(warning) = warning {
+        eprintln!("{warning}");
+    }
+    value
+}
+
+/// Measures each exit's single-input latency (seconds) on the planned path
+/// (a one-slot plan). Informational only — admission uses the fixed cost
+/// table below.
 fn calibrate(network: &MultiExitNetwork, probe: &ie_tensor::Tensor) -> Vec<f64> {
-    let mut plan = network.execution_plan();
+    let mut plan = network.batch_plan(1);
     let reps = 20;
     (0..network.num_exits())
         .map(|exit| {
             let t0 = Instant::now();
             for _ in 0..reps {
-                network.forward_to_exit_with(&mut plan, probe, exit).expect("calibration pass");
+                network
+                    .forward_to_exit_batch_with(&mut plan, &[probe], exit)
+                    .expect("calibration pass");
             }
             t0.elapsed().as_secs_f64() / reps as f64
         })
@@ -219,5 +244,22 @@ fn main() {
         );
         std::fs::write(&path, json).expect("write --out file");
         println!("wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_knob;
+
+    #[test]
+    fn malformed_knobs_fall_back_with_a_warning() {
+        for bad in ["abc", "0"] {
+            let (value, warning) = parse_knob("IE_SERVE_WINDOW", Some(bad), 8);
+            assert_eq!(value, 8, "{bad:?} falls back to the default");
+            let warning = warning.expect("a malformed knob is reported");
+            assert!(warning.contains("IE_SERVE_WINDOW") && warning.contains(bad), "{warning}");
+        }
+        assert_eq!(parse_knob("IE_SERVE_WINDOW", Some("16"), 8), (16, None));
+        assert_eq!(parse_knob("IE_SERVE_WINDOW", None, 8), (8, None));
     }
 }
