@@ -53,6 +53,22 @@ pub struct ExperimentConfig {
     pub fault: Option<FaultConfig>,
 }
 
+/// Longest accepted trace or device-window duration: one year, in seconds.
+/// The synthetic traces hold one sample per second or minute of their
+/// duration, so an unbounded duration turns into an unbounded allocation.
+pub const MAX_TRACE_DURATION_S: f64 = 365.0 * 24.0 * 3600.0;
+
+/// Rejects a duration that is not a positive finite number of seconds of at
+/// most [`MAX_TRACE_DURATION_S`].
+pub(crate) fn check_duration(name: &str, duration_s: f64) -> Result<()> {
+    if !(duration_s > 0.0 && duration_s <= MAX_TRACE_DURATION_S) {
+        return Err(CoreError::InvalidConfig(format!(
+            "{name} must be in (0, {MAX_TRACE_DURATION_S}] s, got {duration_s}"
+        )));
+    }
+    Ok(())
+}
+
 /// Deterministic power-cut fault injection for the deployed-system paths.
 ///
 /// The analytic [`crate::EventLoopSimulator`] interprets this as a
@@ -121,13 +137,22 @@ impl ExperimentConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for nonsensical values (no events,
-    /// non-positive durations or capacities, thresholds outside `[0, 1]`).
+    /// non-positive, non-finite or over-long durations, non-positive or
+    /// non-finite capacities, non-finite energies or powers, thresholds
+    /// outside `[0, 1]`).
     pub fn validate(&self) -> Result<()> {
         if self.num_events == 0 {
             return Err(CoreError::InvalidConfig("num_events must be non-zero".into()));
         }
-        if self.trace_duration_s <= 0.0 {
-            return Err(CoreError::InvalidConfig("trace duration must be positive".into()));
+        check_duration("trace duration", self.trace_duration_s)?;
+        for (name, value) in [
+            ("storage capacity", self.storage_capacity_mj),
+            ("initial energy", self.initial_energy_mj),
+            ("solar peak power", self.solar_peak_power_mw),
+        ] {
+            if !value.is_finite() {
+                return Err(CoreError::InvalidConfig(format!("{name} must be finite")));
+            }
         }
         if self.storage_capacity_mj <= 0.0 {
             return Err(CoreError::InvalidConfig("storage capacity must be positive".into()));
@@ -221,6 +246,26 @@ mod tests {
         c.fault = Some(FaultConfig { seed: 1, cut_probability: 1.5, max_cuts: 4 });
         assert!(c.validate().is_err());
         c.fault = Some(FaultConfig::from_seed(1));
+        c.validate().unwrap();
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_and_over_long_values() {
+        let invalid = |edit: &dyn Fn(&mut ExperimentConfig)| {
+            let mut c = ExperimentConfig::paper_default();
+            edit(&mut c);
+            matches!(c.validate(), Err(CoreError::InvalidConfig(_)))
+        };
+        for bad in [f64::INFINITY, f64::NAN, 1e13, MAX_TRACE_DURATION_S * 1.0001] {
+            assert!(invalid(&|c| c.trace_duration_s = bad), "trace duration {bad}");
+        }
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert!(invalid(&|c| c.storage_capacity_mj = bad), "capacity {bad}");
+            assert!(invalid(&|c| c.initial_energy_mj = bad), "initial energy {bad}");
+            assert!(invalid(&|c| c.solar_peak_power_mw = bad), "peak power {bad}");
+        }
+        let mut c = ExperimentConfig::paper_default();
+        c.trace_duration_s = MAX_TRACE_DURATION_S;
         c.validate().unwrap();
     }
 

@@ -37,8 +37,8 @@ use crate::{
     ContinueContext, CoreError, DeployedModel, EventContext, ExitChoice, ExitPolicy, Result,
 };
 use ie_energy::{
-    fork_rng, fork_seed, EnergyStorage, EventDistribution, EventGenerator, HarvestSimulator,
-    KineticBurstTrace, PowerTrace, SolarTrace, StochasticArrivalTrace,
+    fork_rng, fork_seed, wrap_time_s, EnergyStorage, EventDistribution, EventGenerator,
+    HarvestSimulator, KineticBurstTrace, PowerTrace, SolarTrace, StochasticArrivalTrace,
 };
 use ie_mcu::{FaultInjector, FaultPlan, TaskCut};
 use rand::rngs::StdRng;
@@ -121,7 +121,8 @@ impl FleetConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for an empty fleet, a zero
-    /// event count or worker count, a non-positive window, a fault fraction
+    /// event count or worker count, a window that is not positive, finite
+    /// and at most [`crate::MAX_TRACE_DURATION_S`], a fault fraction
     /// outside `[0, 1]`, or a probe id outside the fleet.
     pub fn validate(&self) -> Result<()> {
         if self.num_devices == 0 {
@@ -130,9 +131,7 @@ impl FleetConfig {
         if self.events_per_device == 0 {
             return Err(CoreError::InvalidConfig("devices need at least one event".into()));
         }
-        if self.device_duration_s <= 0.0 {
-            return Err(CoreError::InvalidConfig("device window must be positive".into()));
-        }
+        crate::config::check_duration("device window", self.device_duration_s)?;
         if !(0.0..=1.0).contains(&self.fault_fraction) {
             return Err(CoreError::InvalidConfig("fault fraction must be in [0, 1]".into()));
         }
@@ -267,7 +266,7 @@ struct WindowedTrace {
 
 impl PowerTrace for WindowedTrace {
     fn power_mw(&self, t_s: f64) -> f64 {
-        self.inner.power_mw(self.offset_s + t_s.rem_euclid(self.window_s))
+        self.inner.power_mw(self.offset_s + wrap_time_s(t_s, self.window_s))
     }
 
     fn duration_s(&self) -> f64 {
@@ -1095,6 +1094,18 @@ mod tests {
         c.probe_device = Some(4);
         assert!(FleetSimulator::new(&c).run(&m).is_err());
         assert!(FleetSimulator::new(&FleetConfig::new(4, 1)).replay_device(&m, 99).is_err());
+    }
+
+    #[test]
+    fn non_finite_and_over_long_windows_are_rejected() {
+        for bad in [0.0, -1.0, f64::INFINITY, f64::NAN, 1e13] {
+            let mut c = FleetConfig::new(4, 1);
+            c.device_duration_s = bad;
+            assert!(
+                matches!(c.validate(), Err(CoreError::InvalidConfig(_))),
+                "device window {bad} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -18,18 +18,25 @@ pub trait PowerTrace: std::fmt::Debug + Send + Sync {
 
     /// Harvested energy between `t0` and `t1` (both seconds), in millijoules,
     /// obtained by trapezoidal integration at a 1-second resolution.
+    ///
+    /// The grid starts at `t0` and steps by `min(1, t1 − t)`. Each step looks
+    /// the power up once: its end sample `power_mw(t + step)` is carried over
+    /// as the next step's start sample, which is the same float the next
+    /// step would look up, since the next `t` is that same `t + step`.
     fn energy_mj(&self, t0_s: f64, t1_s: f64) -> f64 {
         if t1_s <= t0_s {
             return 0.0;
         }
         let mut total = 0.0;
         let mut t = t0_s;
+        let mut p0 = self.power_mw(t);
         while t < t1_s {
             let step = (t1_s - t).min(1.0);
-            let p0 = self.power_mw(t);
-            let p1 = self.power_mw(t + step);
+            let next = t + step;
+            let p1 = self.power_mw(next);
             total += 0.5 * (p0 + p1) * step;
-            t += step;
+            t = next;
+            p0 = p1;
         }
         total
     }
@@ -42,6 +49,20 @@ pub trait PowerTrace: std::fmt::Debug + Send + Sync {
         } else {
             self.energy_mj(0.0, d) / d
         }
+    }
+}
+
+/// Wraps `t_s` onto `[0, duration_s)` like `t_s.rem_euclid(duration_s)`,
+/// returning `t_s` unchanged when it already lies in that range — where
+/// `rem_euclid` is exact and returns it too — so the in-range lookups of the
+/// integrator skip the `fmod`. NaN and out-of-range times take the
+/// `rem_euclid` path.
+#[inline]
+pub fn wrap_time_s(t_s: f64, duration_s: f64) -> f64 {
+    if (0.0..duration_s).contains(&t_s) {
+        t_s
+    } else {
+        t_s.rem_euclid(duration_s)
     }
 }
 
@@ -193,7 +214,7 @@ impl PowerTrace for SolarTrace {
         if self.samples.is_empty() || self.duration_s <= 0.0 {
             return 0.0;
         }
-        let t = t_s.rem_euclid(self.duration_s);
+        let t = wrap_time_s(t_s, self.duration_s);
         let idx = ((t / 60.0) as usize).min(self.samples.len() - 1);
         self.samples[idx]
     }
@@ -235,7 +256,7 @@ impl PowerTrace for KineticBurstTrace {
         if self.samples.is_empty() || self.duration_s <= 0.0 {
             return 0.0;
         }
-        let t = t_s.rem_euclid(self.duration_s);
+        let t = wrap_time_s(t_s, self.duration_s);
         self.samples[(t as usize).min(self.samples.len() - 1)]
     }
 
@@ -304,7 +325,7 @@ impl PowerTrace for StochasticArrivalTrace {
         if self.samples.is_empty() || self.duration_s <= 0.0 {
             return 0.0;
         }
-        let t = t_s.rem_euclid(self.duration_s);
+        let t = wrap_time_s(t_s, self.duration_s);
         self.samples[(t as usize).min(self.samples.len() - 1)]
     }
 

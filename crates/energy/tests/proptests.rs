@@ -2,8 +2,9 @@
 
 use ie_energy::test_support::seeded_rng;
 use ie_energy::{
-    fork_rng, fork_seed, ConstantTrace, EnergyStorage, EventDistribution, EventGenerator,
-    HarvestSimulator, PiecewiseTrace, PowerTrace, SolarTrace,
+    fork_rng, fork_seed, wrap_time_s, ConstantTrace, EnergyStorage, EventDistribution,
+    EventGenerator, HarvestSimulator, KineticBurstTrace, PiecewiseTrace, PowerTrace, SolarTrace,
+    StochasticArrivalTrace,
 };
 use proptest::prelude::*;
 use rand::{Rng, RngCore};
@@ -183,4 +184,111 @@ proptest! {
         prop_assert!(daily >= 0.0);
         prop_assert!((trace.mean_power_mw() - daily / trace.duration_s()).abs() < 1e-9);
     }
+}
+
+/// A power lookup `t_s ↦ mW`.
+type Lookup<'a> = Box<dyn Fn(f64) -> f64 + 'a>;
+
+/// The integrator as it was before the one-lookup form: both ends of every
+/// 1-second step are looked up through `power`.
+fn two_lookup_energy_mj(power: impl Fn(f64) -> f64, t0_s: f64, t1_s: f64) -> f64 {
+    if t1_s <= t0_s {
+        return 0.0;
+    }
+    let mut total = 0.0;
+    let mut t = t0_s;
+    while t < t1_s {
+        let step = (t1_s - t).min(1.0);
+        let p0 = power(t);
+        let p1 = power(t + step);
+        total += 0.5 * (p0 + p1) * step;
+        t += step;
+    }
+    total
+}
+
+/// The per-second lookup of the kinetic and stochastic traces with an
+/// unconditional `rem_euclid`. `samples[k]` is read back as `power_mw(k)`,
+/// which is the sample itself for every in-range whole second.
+fn per_second_lookup(trace: &dyn PowerTrace) -> impl Fn(f64) -> f64 {
+    let d = trace.duration_s();
+    let samples: Vec<f64> = (0..d.ceil() as usize).map(|k| trace.power_mw(k as f64)).collect();
+    move |t: f64| samples[(t.rem_euclid(d) as usize).min(samples.len() - 1)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The one-lookup integrator with the in-range wrap fast path is
+    /// bit-identical to the two-lookup, always-`rem_euclid` integrator on
+    /// every trace type, over fractional starts, sub-second spans, long
+    /// spans and ends that wrap past the trace duration.
+    #[test]
+    fn one_lookup_integration_is_bit_identical_to_two_lookups(
+        seed in 0u64..1_000,
+        duration in 20.0f64..3_000.0,
+        start_fraction in 0.0f64..1.3,
+        span in 0.0f64..1.0,
+        tail in 0.0f64..3.0,
+    ) {
+        let solar = SolarTrace::builder().seed(seed).duration_s(duration * 2.0).build();
+        let kinetic = KineticBurstTrace::new(duration, 0.3, 1.5, seed);
+        let stochastic = StochasticArrivalTrace::new(duration, 7.0, 0.8, 2.5, seed);
+        let piecewise = PiecewiseTrace::from_points(vec![
+            (3.5, 0.2),
+            (duration * 0.4, 1.7),
+            (duration + 3.5, 0.4),
+        ])
+        .expect("valid points");
+        let constant = ConstantTrace::new(0.9, duration);
+
+        let solar_samples = solar.samples().to_vec();
+        let solar_d = solar.duration_s();
+        let solar_old = move |t: f64| {
+            solar_samples[((t.rem_euclid(solar_d) / 60.0) as usize).min(solar_samples.len() - 1)]
+        };
+        let traces: Vec<(&str, &dyn PowerTrace, Lookup<'_>)> = vec![
+            ("solar", &solar, Box::new(solar_old)),
+            ("kinetic", &kinetic, Box::new(per_second_lookup(&kinetic))),
+            ("stochastic", &stochastic, Box::new(per_second_lookup(&stochastic))),
+            ("piecewise", &piecewise, Box::new(|t| piecewise.power_mw(t))),
+            ("constant", &constant, Box::new(|t| constant.power_mw(t))),
+        ];
+        for (name, trace, old) in &traces {
+            let d = trace.duration_s();
+            let t0 = start_fraction * d + span;
+            let intervals = [
+                (t0, t0 + span),
+                (t0, t0 + tail * d),
+                (d - span, d + 1.0 + tail),
+                (0.0, d),
+            ];
+            for (a, b) in intervals {
+                let new = trace.energy_mj(a, b);
+                let reference = two_lookup_energy_mj(old, a, b);
+                prop_assert_eq!(
+                    new.to_bits(),
+                    reference.to_bits(),
+                    "{} over [{}, {}]: {} vs {}", name, a, b, new, reference
+                );
+            }
+        }
+    }
+
+    /// The in-range fast path returns exactly what `rem_euclid` returns,
+    /// inside and outside the range.
+    #[test]
+    fn wrap_time_matches_rem_euclid(t in -5_000.0f64..5_000.0, duration in 0.5f64..2_000.0) {
+        prop_assert_eq!(wrap_time_s(t, duration).to_bits(), t.rem_euclid(duration).to_bits());
+    }
+}
+
+#[test]
+fn wrap_time_matches_rem_euclid_on_edge_values() {
+    for t in [0.0, -0.0, 1e-300, -1e-300, 59.999_999_999, 60.0, 1e17, f64::INFINITY] {
+        for d in [60.0, 0.1, 86_400.0] {
+            assert_eq!(wrap_time_s(t, d).to_bits(), t.rem_euclid(d).to_bits(), "t {t}, d {d}");
+        }
+    }
+    assert!(wrap_time_s(f64::NAN, 60.0).is_nan());
 }

@@ -278,6 +278,38 @@ impl Dense {
         }
     }
 
+    /// Allocation-free counterpart of [`Self::backward`] over slices:
+    /// accumulates `dW = grad_out ⊗ input` and `db = grad_out` into the
+    /// layer's own gradients and, when `dx` is present, writes
+    /// `dx = Wᵀ · grad_out`. Bit-identical to [`Self::backward`] (see
+    /// [`Self::backward_slice_into`] for the kernel argument).
+    ///
+    /// Buffer lengths are enforced by the underlying kernels.
+    pub(crate) fn backward_accumulate_into(
+        &mut self,
+        input: &[f32],
+        grad_out: &[f32],
+        dx: Option<&mut [f32]>,
+    ) {
+        ie_tensor::outer_accumulate_into(grad_out, input, self.grad_weight.as_mut_slice());
+        ie_tensor::accumulate_slice_into(self.grad_bias.as_mut_slice(), grad_out);
+        if let Some(dx) = dx {
+            self.input_grad_into(grad_out, dx);
+        }
+    }
+
+    /// Input gradient only: writes `dx = Wᵀ · grad_out` and leaves the
+    /// parameter gradients untouched.
+    pub(crate) fn input_grad_into(&self, grad_out: &[f32], dx: &mut [f32]) {
+        ie_tensor::matvec_t_into(
+            self.weight.as_slice(),
+            grad_out,
+            dx,
+            self.in_features,
+            self.out_features,
+        );
+    }
+
     /// Forward pass with an explicit weight matrix (same shape as
     /// [`Self::weight`]) — the fake-quant training path substitutes the
     /// dequantised weight codes here while the bias stays full precision.

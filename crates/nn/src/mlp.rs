@@ -1,4 +1,4 @@
-use crate::{Dense, Relu, Result};
+use crate::{Dense, NnError, Relu, Result};
 use ie_tensor::Tensor;
 use rand::Rng;
 
@@ -142,6 +142,102 @@ impl Mlp {
         Ok(g)
     }
 
+    /// Allocation-free forward pass through `pass`, which keeps every
+    /// layer's input and the final pre-activation for a following
+    /// [`Self::backward_pass`] or [`Self::input_grad_pass`]. Returns the
+    /// network output, bit-identical to [`Self::forward`].
+    ///
+    /// A pass built empty (`MlpPass::default()`) or for another shape is
+    /// sized on the first call; once it fits, no call allocates.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputShapeMismatch`] when `input` does not match
+    /// the first layer.
+    pub fn forward_pass<'p>(&self, input: &[f32], pass: &'p mut MlpPass) -> Result<&'p [f32]> {
+        check_len("mlp(input)", self.input_size(), input.len())?;
+        pass.fit(&self.layers);
+        pass.acts[0].copy_from_slice(input);
+        let last = self.layers.len() - 1;
+        for (i, layer) in self.layers[..last].iter().enumerate() {
+            let (done, rest) = pass.acts.split_at_mut(i + 1);
+            layer.forward_into(&done[i], &mut rest[0], true)?;
+        }
+        self.layers[last].forward_into(&pass.acts[last], &mut pass.pre, false)?;
+        for (o, &p) in pass.out.iter_mut().zip(&pass.pre) {
+            *o = match self.output_activation {
+                OutputActivation::Linear => p,
+                OutputActivation::Sigmoid => 1.0 / (1.0 + (-p).exp()),
+                OutputActivation::Tanh => p.tanh(),
+            };
+        }
+        Ok(&pass.out)
+    }
+
+    /// Allocation-free backward pass over the activations the last
+    /// [`Self::forward_pass`] left in `pass`: accumulates parameter
+    /// gradients for `dL/d_output` and, when `dx` is present, writes
+    /// `dL/d_input` into it. Gradients and `dx` are bit-identical to
+    /// [`Self::backward`] on the same input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputShapeMismatch`] when `grad_output` or `dx`
+    /// does not match the network, or `pass` does not hold a forward pass
+    /// of it.
+    pub fn backward_pass(
+        &mut self,
+        pass: &mut MlpPass,
+        grad_output: &[f32],
+        dx: Option<&mut [f32]>,
+    ) -> Result<()> {
+        self.check_backprop(pass, grad_output, dx.as_deref().map(<[f32]>::len))?;
+        let layers = &mut self.layers;
+        pass.backprop(self.output_activation, grad_output, dx, |i, input, g, dst| {
+            layers[i].backward_accumulate_into(input, g, dst)
+        });
+        Ok(())
+    }
+
+    /// Input gradient only: writes `dL/d_input` for `dL/d_output` over the
+    /// activations the last [`Self::forward_pass`] left in `pass`, without
+    /// touching the parameter gradients. Bit-identical to the `dx` of
+    /// [`Self::backward`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputShapeMismatch`] under the same conditions as
+    /// [`Self::backward_pass`].
+    pub fn input_grad_pass(
+        &self,
+        pass: &mut MlpPass,
+        grad_output: &[f32],
+        dx: &mut [f32],
+    ) -> Result<()> {
+        self.check_backprop(pass, grad_output, Some(dx.len()))?;
+        pass.backprop(self.output_activation, grad_output, Some(dx), |i, _, g, dst| {
+            if let Some(dst) = dst {
+                self.layers[i].input_grad_into(g, dst);
+            }
+        });
+        Ok(())
+    }
+
+    fn check_backprop(&self, pass: &MlpPass, grad_output: &[f32], dx: Option<usize>) -> Result<()> {
+        check_len("mlp(grad_output)", self.output_size(), grad_output.len())?;
+        if let Some(len) = dx {
+            check_len("mlp(dx)", self.input_size(), len)?;
+        }
+        if !pass.fits(&self.layers) {
+            return Err(NnError::InputShapeMismatch {
+                layer: "mlp(pass)".into(),
+                expected: self.layers.iter().map(Dense::in_features).collect(),
+                actual: pass.acts.iter().map(Vec::len).collect(),
+            });
+        }
+        Ok(())
+    }
+
     /// Applies accumulated gradients with learning rate `lr` and clears them.
     pub fn apply_gradients(&mut self, lr: f32) {
         for layer in &mut self.layers {
@@ -186,6 +282,99 @@ impl Mlp {
     /// The dense layers of the MLP (read-only).
     pub fn layers(&self) -> &[Dense] {
         &self.layers
+    }
+}
+
+fn check_len(layer: &str, expected: usize, actual: usize) -> Result<()> {
+    if expected == actual {
+        return Ok(());
+    }
+    Err(NnError::InputShapeMismatch {
+        layer: layer.into(),
+        expected: vec![expected],
+        actual: vec![actual],
+    })
+}
+
+/// Reusable buffers of one [`Mlp`] shape for the allocation-free
+/// [`Mlp::forward_pass`] / [`Mlp::backward_pass`] / [`Mlp::input_grad_pass`]
+/// path.
+///
+/// The pass keeps each dense layer's input and the final layer's
+/// pre-activation. A hidden layer's ReLU mask is read off the next layer's
+/// input: that input is the ReLU output, and `relu(t) > 0` exactly when
+/// `t > 0`, so the mask equals the one [`Mlp::backward`] takes from the
+/// pre-activation. Two ping-pong gradient buffers, sized to the widest
+/// layer, carry `dL/d·` down the network.
+#[derive(Debug, Clone, Default)]
+pub struct MlpPass {
+    /// `acts[i]` is dense layer `i`'s input.
+    acts: Vec<Vec<f32>>,
+    /// The final dense layer's output before the output activation.
+    pre: Vec<f32>,
+    /// The network output.
+    out: Vec<f32>,
+    /// Ping-pong gradient buffers.
+    grad: [Vec<f32>; 2],
+}
+
+impl MlpPass {
+    fn fits(&self, layers: &[Dense]) -> bool {
+        self.acts.len() == layers.len()
+            && self.acts.iter().zip(layers).all(|(a, l)| a.len() == l.in_features())
+            && layers.last().is_some_and(|l| self.pre.len() == l.out_features())
+    }
+
+    fn fit(&mut self, layers: &[Dense]) {
+        if self.fits(layers) {
+            return;
+        }
+        self.acts = layers.iter().map(|l| vec![0.0; l.in_features()]).collect();
+        let outputs = layers.last().map_or(0, Dense::out_features);
+        self.pre = vec![0.0; outputs];
+        self.out = vec![0.0; outputs];
+        let widest =
+            layers.iter().map(|l| l.in_features().max(l.out_features())).max().unwrap_or(0);
+        self.grad = [vec![0.0; widest], vec![0.0; widest]];
+    }
+
+    /// Walks `dL/d_output` down the network. `layer_step(i, input, g, dst)`
+    /// receives layer `i`'s input and output gradient and, in `dst`, where
+    /// to write its input gradient: the next ping-pong buffer, or the
+    /// caller's `dx` for layer 0.
+    fn backprop(
+        &mut self,
+        output: OutputActivation,
+        grad_output: &[f32],
+        mut dx: Option<&mut [f32]>,
+        mut layer_step: impl FnMut(usize, &[f32], &[f32], Option<&mut [f32]>),
+    ) {
+        let MlpPass { acts, pre, out, grad: [g, spare] } = self;
+        let (mut g, mut spare) = (g, spare);
+        let mut width = pre.len();
+        // Output activation derivative, in the same operation order as the
+        // allocating `Mlp::output_grad`.
+        for ((d, &y), &go) in g[..width].iter_mut().zip(out.iter()).zip(grad_output) {
+            *d = match output {
+                OutputActivation::Linear => go,
+                OutputActivation::Sigmoid => y * (1.0 - y) * go,
+                OutputActivation::Tanh => (1.0 - y * y) * go,
+            };
+        }
+        for i in (0..acts.len()).rev() {
+            if i + 1 < acts.len() {
+                ie_tensor::relu_backward_into(&acts[i + 1], &g[..width], &mut spare[..width]);
+                std::mem::swap(&mut g, &mut spare);
+            }
+            if i == 0 {
+                layer_step(0, &acts[0], &g[..width], dx.take());
+            } else {
+                let in_width = acts[i].len();
+                layer_step(i, &acts[i], &g[..width], Some(&mut spare[..in_width]));
+                std::mem::swap(&mut g, &mut spare);
+                width = in_width;
+            }
+        }
     }
 }
 

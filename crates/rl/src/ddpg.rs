@@ -2,7 +2,7 @@
 //! networks, as used by the paper's compression agents.
 
 use crate::{OrnsteinUhlenbeck, ReplayBuffer};
-use ie_nn::{Mlp, OutputActivation, Result as NnResult};
+use ie_nn::{Mlp, MlpPass, OutputActivation, Result as NnResult};
 use ie_tensor::Tensor;
 use rand::Rng;
 
@@ -69,6 +69,24 @@ pub struct DdpgAgent {
     config: DdpgConfig,
     state_dim: usize,
     action_dim: usize,
+    scratch: UpdateScratch,
+}
+
+/// The buffers of [`DdpgAgent::update`], sized by its first call. The target
+/// networks share the pass buffers of their online twins: each target
+/// forward is consumed before the online network runs.
+#[derive(Debug, Clone, Default)]
+struct UpdateScratch {
+    actor: MlpPass,
+    critic: MlpPass,
+    /// Replay indices of the current minibatch.
+    indices: Vec<usize>,
+    /// Critic input `[state, action]`.
+    input: Vec<f32>,
+    /// `dQ/d(input)` of the actor step.
+    dq_dinput: Vec<f32>,
+    /// `−dQ/d(action)`, the actor's output gradient.
+    action_grad: Vec<f32>,
 }
 
 impl DdpgAgent {
@@ -93,6 +111,10 @@ impl DdpgAgent {
         let target_critic = critic.clone();
         let noise = OrnsteinUhlenbeck::new(action_dim, 0.15, config.noise_sigma);
         let replay = ReplayBuffer::new(config.replay_capacity);
+        let scratch = UpdateScratch {
+            dq_dinput: vec![0.0; state_dim + action_dim],
+            ..UpdateScratch::default()
+        };
         DdpgAgent {
             actor,
             critic,
@@ -103,6 +125,7 @@ impl DdpgAgent {
             config,
             state_dim,
             action_dim,
+            scratch,
         }
     }
 
@@ -178,19 +201,12 @@ impl DdpgAgent {
         Ok(self.critic.forward(&x)?.as_slice()[0])
     }
 
-    fn target_q(&self, state: &[f32]) -> NnResult<f32> {
-        let s = Tensor::from_vec(state.to_vec(), &[state.len()]).map_err(ie_nn::NnError::from)?;
-        let a = self.target_actor.forward(&s)?;
-        let mut input = state.to_vec();
-        input.extend_from_slice(a.as_slice());
-        let len = input.len();
-        let x = Tensor::from_vec(input, &[len]).map_err(ie_nn::NnError::from)?;
-        Ok(self.target_critic.forward(&x)?.as_slice()[0])
-    }
-
     /// Performs one mini-batch update of the critic and actor and soft-updates
     /// the target networks. Returns the mean critic TD error of the batch, or
     /// `None` when the replay buffer is still empty.
+    ///
+    /// Runs on the agent's reusable pass buffers: once warmed by a first
+    /// call, an update allocates nothing.
     ///
     /// # Errors
     ///
@@ -203,58 +219,68 @@ impl DdpgAgent {
         if self.replay.is_empty() {
             return Ok(None);
         }
-        let batch = self.replay.sample(rng, batch_size.max(1));
-        let n = batch.len() as f32;
+        let DdpgAgent {
+            actor, critic, target_actor, target_critic, replay, config, scratch, ..
+        } = self;
+        let UpdateScratch {
+            actor: actor_pass,
+            critic: critic_pass,
+            indices,
+            input,
+            dq_dinput,
+            action_grad,
+        } = scratch;
+        replay.sample_indices_into(rng, batch_size.max(1), indices);
+        let n = indices.len() as f32;
 
         // --- Critic update: minimise (Q(s,a) − y)² with y = r + γ·Q'(s', µ'(s')).
         let mut td_error_sum = 0.0;
-        for t in &batch {
+        for &i in indices.iter() {
+            let t = &replay[i];
             let target = if t.done {
                 t.reward
             } else {
-                t.reward + self.config.gamma * self.target_q(&t.next_state)?
+                let next_action = target_actor.forward_pass(&t.next_state, actor_pass)?;
+                concat_into(input, &t.next_state, next_action);
+                t.reward + config.gamma * target_critic.forward_pass(input, critic_pass)?[0]
             };
-            let mut input = t.state.clone();
-            input.extend_from_slice(&t.action);
-            let len = input.len();
-            let x = Tensor::from_vec(input, &[len]).map_err(ie_nn::NnError::from)?;
-            let q = self.critic.forward(&x)?.as_slice()[0];
+            concat_into(input, &t.state, &t.action);
+            let q = critic.forward_pass(input, critic_pass)?[0];
             let td = q - target;
             td_error_sum += td.abs();
-            let grad = Tensor::from_vec(vec![2.0 * td], &[1]).map_err(ie_nn::NnError::from)?;
-            self.critic.backward(&x, &grad)?;
+            critic.backward_pass(critic_pass, &[2.0 * td], None)?;
         }
-        self.critic.apply_gradients(self.config.critic_lr / n);
+        critic.apply_gradients(config.critic_lr / n);
 
-        // --- Actor update: ascend ∇_a Q(s, µ(s)) ∇_θ µ(s).
-        for t in &batch {
-            let s = Tensor::from_vec(t.state.clone(), &[t.state.len()])
-                .map_err(ie_nn::NnError::from)?;
-            let action = self.actor.forward(&s)?;
-            let mut input = t.state.clone();
-            input.extend_from_slice(action.as_slice());
-            let len = input.len();
-            let x = Tensor::from_vec(input, &[len]).map_err(ie_nn::NnError::from)?;
-            // dQ/d(input) through the critic; we only want the action part and
-            // must not leave gradients behind in the critic.
-            let ones = Tensor::from_vec(vec![1.0], &[1]).map_err(ie_nn::NnError::from)?;
-            let dq_dinput = self.critic.backward(&x, &ones)?;
-            self.critic.zero_grad();
-            let dq_daction = &dq_dinput.as_slice()[t.state.len()..];
+        // --- Actor update: ascend ∇_a Q(s, µ(s)) ∇_θ µ(s). The critic only
+        // supplies dQ/d(input); its parameter gradients stay untouched.
+        for &i in indices.iter() {
+            let t = &replay[i];
+            let action = actor.forward_pass(&t.state, actor_pass)?;
+            concat_into(input, &t.state, action);
+            critic.forward_pass(input, critic_pass)?;
+            critic.input_grad_pass(critic_pass, &[1.0], dq_dinput)?;
             // Gradient ascent on Q == descent on −Q.
-            let grad =
-                Tensor::from_vec(dq_daction.iter().map(|g| -g).collect(), &[self.action_dim])
-                    .map_err(ie_nn::NnError::from)?;
-            self.actor.backward(&s, &grad)?;
+            action_grad.clear();
+            action_grad.extend(dq_dinput[t.state.len()..].iter().map(|g| -g));
+            actor.backward_pass(actor_pass, action_grad, None)?;
         }
-        self.actor.apply_gradients(self.config.actor_lr / n);
+        actor.apply_gradients(config.actor_lr / n);
 
         // --- Target network soft updates.
-        self.target_actor.blend_from(&self.actor, self.config.tau);
-        self.target_critic.blend_from(&self.critic, self.config.tau);
+        target_actor.blend_from(actor, config.tau);
+        target_critic.blend_from(critic, config.tau);
 
         Ok(Some(td_error_sum / n))
     }
+}
+
+/// Overwrites `dst` with `[head, tail]` (no allocation once `dst` has the
+/// capacity).
+fn concat_into(dst: &mut Vec<f32>, head: &[f32], tail: &[f32]) {
+    dst.clear();
+    dst.extend_from_slice(head);
+    dst.extend_from_slice(tail);
 }
 
 #[cfg(test)]
@@ -262,6 +288,106 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The allocating update the pass-buffer [`DdpgAgent::update`] replaced:
+    /// clones the minibatch, builds a tensor per concatenation, and lets the
+    /// actor step accumulate critic gradients only to clear them again. Kept
+    /// as the bit-identity reference.
+    fn reference_update<R: Rng + ?Sized>(
+        agent: &mut DdpgAgent,
+        rng: &mut R,
+        batch_size: usize,
+    ) -> NnResult<Option<f32>> {
+        fn tensor(v: Vec<f32>) -> NnResult<Tensor> {
+            let len = v.len();
+            Tensor::from_vec(v, &[len]).map_err(ie_nn::NnError::from)
+        }
+        if agent.replay.is_empty() {
+            return Ok(None);
+        }
+        let mut indices = Vec::new();
+        agent.replay.sample_indices_into(rng, batch_size.max(1), &mut indices);
+        let batch: Vec<Transition> = indices.iter().map(|&i| agent.replay[i].clone()).collect();
+        let n = batch.len() as f32;
+
+        let mut td_error_sum = 0.0;
+        for t in &batch {
+            let target = if t.done {
+                t.reward
+            } else {
+                let a = agent.target_actor.forward(&tensor(t.next_state.clone())?)?;
+                let mut input = t.next_state.clone();
+                input.extend_from_slice(a.as_slice());
+                let q = agent.target_critic.forward(&tensor(input)?)?.as_slice()[0];
+                t.reward + agent.config.gamma * q
+            };
+            let mut input = t.state.clone();
+            input.extend_from_slice(&t.action);
+            let x = tensor(input)?;
+            let q = agent.critic.forward(&x)?.as_slice()[0];
+            let td = q - target;
+            td_error_sum += td.abs();
+            agent.critic.backward(&x, &tensor(vec![2.0 * td])?)?;
+        }
+        agent.critic.apply_gradients(agent.config.critic_lr / n);
+
+        for t in &batch {
+            let s = tensor(t.state.clone())?;
+            let action = agent.actor.forward(&s)?;
+            let mut input = t.state.clone();
+            input.extend_from_slice(action.as_slice());
+            let dq_dinput = agent.critic.backward(&tensor(input)?, &tensor(vec![1.0])?)?;
+            agent.critic.zero_grad();
+            let grad = dq_dinput.as_slice()[t.state.len()..].iter().map(|g| -g).collect();
+            agent.actor.backward(&s, &tensor(grad)?)?;
+        }
+        agent.actor.apply_gradients(agent.config.actor_lr / n);
+
+        agent.target_actor.blend_from(&agent.actor, agent.config.tau);
+        agent.target_critic.blend_from(&agent.critic, agent.config.tau);
+        Ok(Some(td_error_sum / n))
+    }
+
+    fn parameter_bits(mlp: &Mlp) -> Vec<u32> {
+        mlp.layers()
+            .iter()
+            .flat_map(|l| l.weight().as_slice().iter().chain(l.bias().as_slice()))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn update_is_bit_identical_to_the_allocating_reference() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let config = DdpgConfig { hidden: 16, replay_capacity: 64, ..DdpgConfig::default() };
+        let mut fast = DdpgAgent::new(&mut rng, 5, 3, config);
+        let mut reference = fast.clone();
+        let mut fast_rng = StdRng::seed_from_u64(12);
+        let mut reference_rng = fast_rng.clone();
+        for step in 0..50 {
+            let state: Vec<f32> = (0..5).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let transition = Transition {
+                action: fast.act_exploring(&state, &mut rng).unwrap(),
+                reward: rng.gen_range(-1.0..1.0),
+                next_state: (0..5).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                done: step % 3 == 0,
+                state,
+            };
+            fast.observe(transition.clone());
+            reference.observe(transition);
+            let got = fast.update(&mut fast_rng, 12).unwrap().unwrap();
+            let want = reference_update(&mut reference, &mut reference_rng, 12).unwrap().unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "TD error at update {step}");
+        }
+        for (name, a, b) in [
+            ("actor", &fast.actor, &reference.actor),
+            ("critic", &fast.critic, &reference.critic),
+            ("target actor", &fast.target_actor, &reference.target_actor),
+            ("target critic", &fast.target_critic, &reference.target_critic),
+        ] {
+            assert_eq!(parameter_bits(a), parameter_bits(b), "{name} parameters diverged");
+        }
+    }
 
     #[test]
     fn actions_are_in_the_unit_box() {

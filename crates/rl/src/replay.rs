@@ -18,7 +18,10 @@ use std::collections::VecDeque;
 /// }
 /// assert_eq!(buffer.len(), 8);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// assert_eq!(buffer.sample(&mut rng, 4).len(), 4);
+/// let mut batch = Vec::new();
+/// buffer.sample_indices_into(&mut rng, 4, &mut batch);
+/// assert_eq!(batch.len(), 4);
+/// assert!(batch.iter().all(|&i| buffer[i] >= 12));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayBuffer<T> {
@@ -60,13 +63,21 @@ impl<T: Clone> ReplayBuffer<T> {
         self.items.push_back(item);
     }
 
-    /// Uniformly samples `count` experiences with replacement. Returns an
-    /// empty vector when the buffer is empty.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<T> {
+    /// Uniformly samples `count` experience indices with replacement into
+    /// `out` (cleared first; left empty when the buffer is empty). Index `i`
+    /// reads back as `self[i]`, oldest first. Draws one `gen_range` per index
+    /// and allocates nothing once `out` has the capacity.
+    pub fn sample_indices_into<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        count: usize,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
         if self.items.is_empty() {
-            return Vec::new();
+            return;
         }
-        (0..count).map(|_| self.items[rng.gen_range(0..self.items.len())].clone()).collect()
+        out.extend((0..count).map(|_| rng.gen_range(0..self.items.len())));
     }
 
     /// Iterates over the stored experiences, oldest first.
@@ -77,6 +88,19 @@ impl<T: Clone> ReplayBuffer<T> {
     /// Removes all stored experiences.
     pub fn clear(&mut self) {
         self.items.clear();
+    }
+}
+
+impl<T> std::ops::Index<usize> for ReplayBuffer<T> {
+    type Output = T;
+
+    /// The `index`-th stored experience, oldest first.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index >= self.len()`.
+    fn index(&self, index: usize) -> &T {
+        &self.items[index]
     }
 }
 
@@ -105,16 +129,19 @@ mod tests {
             b.push(i * 10);
         }
         let mut rng = StdRng::seed_from_u64(2);
-        let sample = b.sample(&mut rng, 100);
+        let mut sample = Vec::new();
+        b.sample_indices_into(&mut rng, 100, &mut sample);
         assert_eq!(sample.len(), 100);
-        assert!(sample.iter().all(|x| x % 10 == 0 && *x < 100));
+        assert!(sample.iter().all(|&i| b[i] % 10 == 0 && b[i] < 100));
     }
 
     #[test]
     fn empty_buffer_samples_nothing() {
         let b: ReplayBuffer<u8> = ReplayBuffer::new(4);
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(b.sample(&mut rng, 5).is_empty());
+        let mut sample = vec![9];
+        b.sample_indices_into(&mut rng, 5, &mut sample);
+        assert!(sample.is_empty());
         assert!(b.is_empty());
     }
 
