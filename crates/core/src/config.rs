@@ -2,7 +2,7 @@ use crate::{CoreError, Result};
 use ie_energy::{
     EnergyStorage, Event, EventDistribution, EventGenerator, HarvestSimulator, SolarTrace,
 };
-use ie_mcu::{CostModel, McuDevice};
+use ie_mcu::{CostModel, FaultInjector, FaultPlan, McuDevice};
 use ie_nn::spec::{lenet_multi_exit, MultiExitArchitecture};
 
 /// The full experimental setup of Section V-A of the paper, with every knob
@@ -69,12 +69,16 @@ pub(crate) fn check_duration(name: &str, duration_s: f64) -> Result<()> {
     Ok(())
 }
 
+/// The paper's normalised-confidence threshold: a result less confident than
+/// this may continue to the next exit. [`ExperimentConfig::paper_default`]
+/// starts from it and every fleet device uses it.
+pub const PAPER_CONFIDENCE_THRESHOLD: f64 = 0.55;
+
 /// Deterministic power-cut fault injection for the deployed-system paths.
 ///
-/// The analytic [`crate::EventLoopSimulator`] interprets this as a
-/// per-event cut probability; the task-level baseline runner turns it into an
-/// `ie_mcu::FaultPlan::Random` whose cuts strike between tasks, mid-task and
-/// inside checkpoint writes.
+/// Every path turns it into the same `ie_mcu` fault model
+/// ([`FaultConfig::injector`]): cuts strike at task starts (before any work
+/// or mid-task) and inside checkpoint writes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Master seed of the fault schedule (harnesses may override it from the
@@ -93,6 +97,11 @@ impl FaultConfig {
     /// 64 cuts over the run.
     pub fn from_seed(seed: u64) -> Self {
         FaultConfig { seed, cut_probability: 0.1, max_cuts: 64 }
+    }
+
+    /// The random `ie_mcu` fault injector this schedule describes.
+    pub fn injector(&self) -> FaultInjector {
+        FaultPlan::random(self.seed, self.cut_probability, self.max_cuts).injector()
     }
 }
 
@@ -113,7 +122,7 @@ impl ExperimentConfig {
             initial_energy_mj: 1.0,
             flops_target: 1_150_000,
             size_target_bytes: 16 * 1024,
-            confidence_threshold: 0.55,
+            confidence_threshold: PAPER_CONFIDENCE_THRESHOLD,
             incremental_enabled: true,
             simulation_seed: 7,
             fault: None,

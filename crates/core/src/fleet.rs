@@ -33,15 +33,15 @@
 
 use crate::metrics::RecoveryStats;
 use crate::policies::{FixedExitPolicy, GreedyAffordablePolicy, ReserveMarginPolicy};
+use crate::step::{step_event, StepState};
 use crate::{
-    ContinueContext, CoreError, DeployedModel, EventContext, ExitChoice, ExitPolicy, Result,
+    CoreError, DeployedModel, ExitPolicy, FaultConfig, Result, PAPER_CONFIDENCE_THRESHOLD,
 };
 use ie_energy::{
     fork_rng, fork_seed, wrap_time_s, EnergyStorage, EventDistribution, EventGenerator,
     HarvestSimulator, KineticBurstTrace, PowerTrace, SolarTrace, StochasticArrivalTrace,
 };
-use ie_mcu::{FaultInjector, FaultPlan, TaskCut};
-use rand::rngs::StdRng;
+use ie_mcu::FaultInjector;
 use rand::Rng;
 
 /// Purpose component of a device's fork path: the spec (heterogeneity) draws.
@@ -61,10 +61,6 @@ pub const EXIT_SLOTS: usize = 8;
 
 /// Number of log-spaced bins in the energy/latency histograms.
 pub const HIST_BINS: usize = 48;
-
-/// Analytic checkpoint record length (bytes) consulted for torn-write
-/// injection after each processed event.
-const CHECKPOINT_RECORD_LEN: usize = 64;
 
 /// log10 range of the per-event energy histogram, in millijoules.
 const ENERGY_LOG10_RANGE: (f64, f64) = (-3.0, 2.0);
@@ -359,6 +355,17 @@ impl Default for FleetAccumulator {
     }
 }
 
+/// Rejects a model whose exits do not fit the accumulator's fixed slots.
+fn check_model(model: &DeployedModel) -> Result<()> {
+    let exits = model.num_exits();
+    if exits == 0 || exits > EXIT_SLOTS {
+        return Err(CoreError::InvalidConfig(format!(
+            "fleet models need 1 to {EXIT_SLOTS} exits, got {exits}"
+        )));
+    }
+    Ok(())
+}
+
 /// Rounds millijoules to integer nanojoules (the accumulator's exact unit).
 fn mj_to_nj(mj: f64) -> u64 {
     (mj.max(0.0) * 1e6).round() as u64
@@ -589,8 +596,9 @@ impl FleetSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for an invalid configuration and
-    /// propagates any per-device simulation error.
+    /// Returns [`CoreError::InvalidConfig`] for an invalid configuration or
+    /// a model with no exits or more than [`EXIT_SLOTS`], and propagates any
+    /// per-device simulation error.
     pub fn run(&self, model: &DeployedModel) -> Result<FleetReport> {
         self.config.validate()?;
         let devices = self.config.num_devices;
@@ -637,8 +645,9 @@ impl FleetSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for an id outside the fleet and
-    /// propagates simulation errors.
+    /// Returns [`CoreError::InvalidConfig`] for an id outside the fleet or a
+    /// model with no exits or more than [`EXIT_SLOTS`], and propagates
+    /// simulation errors.
     pub fn replay_device(&self, model: &DeployedModel, device_id: u64) -> Result<DeviceOutcome> {
         if device_id >= self.config.num_devices {
             return Err(CoreError::InvalidConfig(format!(
@@ -689,49 +698,43 @@ impl FleetSimulator {
     ///
     /// # Errors
     ///
-    /// Propagates energy-accounting errors (which indicate a bug — every
-    /// draw is affordability-checked first).
+    /// Returns [`CoreError::InvalidConfig`] for a model with no exits or more
+    /// than [`EXIT_SLOTS`], and propagates energy-accounting errors (which
+    /// indicate a bug — every draw is affordability-checked first).
     pub fn simulate_device_into(
         &self,
         model: &DeployedModel,
         device_id: u64,
         acc: &mut FleetAccumulator,
     ) -> Result<DeviceOutcome> {
+        check_model(model)?;
         let master = self.config.master_seed;
         let spec = DeviceSpec::derive(&self.config, device_id);
         let trace = self.build_trace(&spec);
         let storage = EnergyStorage::new(spec.capacity_mj, spec.charge_efficiency)
             .with_initial_level(spec.initial_fraction * spec.capacity_mj);
-        let mut sim = HarvestSimulator::new(trace, storage);
         let events = EventGenerator::new(
             spec.event_distribution,
             fork_seed(master, &[device_id, PURPOSE_EVENTS]),
         )
         .generate(self.config.events_per_device, self.config.device_duration_s);
-        let mut rng = fork_rng(master, &[device_id, PURPOSE_SIM]);
-        let mut injector = spec
-            .fault
-            .map(|(p, max_cuts)| {
-                FaultPlan::random(fork_seed(master, &[device_id, PURPOSE_FAULT]), p, max_cuts)
-                    .injector()
-            })
-            .unwrap_or_else(FaultInjector::none);
+        let faults = spec.fault.map_or_else(FaultInjector::none, |(cut_probability, max_cuts)| {
+            let seed = fork_seed(master, &[device_id, PURPOSE_FAULT]);
+            FaultConfig { seed, cut_probability, max_cuts }.injector()
+        });
         let num_exits = model.num_exits();
         let mut policy: Box<dyn ExitPolicy> = match spec.policy {
             PolicyKind::Greedy => Box::new(GreedyAffordablePolicy::new()),
             PolicyKind::Fixed(exit) => Box::new(FixedExitPolicy::new(exit.min(num_exits - 1))),
             PolicyKind::Reserve(fraction) => Box::new(ReserveMarginPolicy::new(fraction)),
         };
-
-        let mut ctx = EventContext {
-            event_id: 0,
-            time_s: 0.0,
-            available_energy_mj: 0.0,
-            capacity_mj: sim.storage().capacity_mj(),
-            charging_efficiency: 0.0,
-            exit_energy_mj: model.exit_energies_mj(),
-            exit_accuracy: model.exit_accuracies(),
-        };
+        let mut state = StepState::new(
+            model,
+            Some(PAPER_CONFIDENCE_THRESHOLD),
+            HarvestSimulator::new(trace, storage),
+            fork_rng(master, &[device_id, PURPOSE_SIM]),
+            faults,
+        );
 
         let mut outcome = DeviceOutcome {
             device_id,
@@ -743,51 +746,29 @@ impl FleetSimulator {
         };
 
         for event in &events {
-            sim.advance_to(event.time_s);
-            ctx.event_id = event.id;
-            ctx.time_s = event.time_s;
-            ctx.available_energy_mj = sim.storage().level_mj();
-            ctx.charging_efficiency = sim.charging_efficiency();
-
-            let attempted = match policy.choose_exit(&ctx) {
-                ExitChoice::Skip => None,
-                // Built-in policies only choose exits they saw costs for, but
-                // clamp anyway so a future policy kind cannot panic the fleet.
-                ExitChoice::Exit(exit) => Some(exit.min(num_exits - 1)),
-            };
-
-            let event_result = match attempted {
-                Some(exit) if sim.storage().can_supply(model.exit_energy_mj(exit)) => self
-                    .process_event(
-                        model,
-                        policy.as_mut(),
-                        &mut sim,
-                        &mut rng,
-                        &mut injector,
-                        event.id,
-                        exit,
-                        acc,
-                    )?,
-                _ => EventResult { processed: false, correct: false, energy_mj: 0.0 },
-            };
-
-            // Per-event bookkeeping shared by both branches.
+            state.sim.advance_to(event.time_s);
+            let step = step_event(&mut state, policy.as_mut(), event, 0.0)?;
             acc.total_events += 1;
-            outcome.events += 1;
-            if event_result.processed {
+            acc.recovered_boots += step.recovery.recovered_boots;
+            acc.torn_writes += step.recovery.torn_writes;
+            acc.wasted_nj += mj_to_nj(step.recovery.wasted_reexecution_mj);
+            if let Some(exit) = step.final_exit {
                 outcome.processed += 1;
+                acc.exit_counts[exit] += 1;
+                acc.incremental_events += u64::from(step.incremental);
+                acc.energy_hist[log_bin(step.energy_mj, ENERGY_LOG10_RANGE)] += 1;
+                acc.latency_hist[log_bin(step.latency_s, LATENCY_LOG10_RANGE)] += 1;
             } else {
                 acc.missed_events += 1;
             }
-            if event_result.correct {
-                outcome.correct += 1;
-            }
-            outcome.consumed_nj += mj_to_nj(event_result.energy_mj);
+            outcome.events += 1;
+            outcome.correct += u64::from(step.correct);
+            outcome.consumed_nj += mj_to_nj(step.energy_mj);
             outcome.digest = fork_seed(
                 outcome.digest,
                 &[
-                    u64::from(event_result.processed) | (u64::from(event_result.correct) << 1),
-                    event_result.energy_mj.to_bits(),
+                    u64::from(step.final_exit.is_some()) | (u64::from(step.correct) << 1),
+                    step.energy_mj.to_bits(),
                 ],
             );
         }
@@ -799,117 +780,6 @@ impl FleetSimulator {
         acc.absorb_digest(outcome.digest);
         Ok(outcome)
     }
-
-    /// Runs one affordably chosen inference: fault cut (analytic retry),
-    /// the inference itself, optional incremental continuation, and the
-    /// post-inference checkpoint commit's torn-write opportunity. Updates
-    /// the histogram/exit/fault fields of `acc`; the caller handles the
-    /// event-level counters.
-    #[allow(clippy::too_many_arguments)]
-    fn process_event(
-        &self,
-        model: &DeployedModel,
-        policy: &mut dyn ExitPolicy,
-        sim: &mut HarvestSimulator,
-        rng: &mut StdRng,
-        injector: &mut FaultInjector,
-        event_id: usize,
-        exit: usize,
-        acc: &mut FleetAccumulator,
-    ) -> Result<EventResult> {
-        let cost = model.exit_energy_mj(exit);
-        let inference_latency = model.exit_latency_s(exit);
-        let mut energy = 0.0;
-        let mut latency = 0.0;
-
-        // Injected power cut at task start: the analytic model of the
-        // `ie_mcu` executor's recovery — partial work is destroyed, the
-        // device reboots and retries the whole inference if the remaining
-        // charge affords it.
-        match injector.on_task_start() {
-            Some(TaskCut::Before) => {
-                // Cut before any work: recovery costs a boot but no energy.
-                acc.recovered_boots += 1;
-            }
-            Some(TaskCut::Mid { fraction }) => {
-                let partial = fraction.clamp(0.0, 1.0) * cost;
-                sim.consume(partial)?;
-                sim.advance_by(fraction.clamp(0.0, 1.0) * inference_latency);
-                acc.recovered_boots += 1;
-                acc.wasted_nj += mj_to_nj(partial);
-                energy += partial;
-                latency += fraction.clamp(0.0, 1.0) * inference_latency;
-                if !sim.storage().can_supply(cost) {
-                    // The retry is unaffordable: the event is missed with the
-                    // destroyed partial work on its ledger.
-                    return Ok(EventResult { processed: false, correct: false, energy_mj: energy });
-                }
-            }
-            None => {}
-        }
-
-        sim.consume(cost)?;
-        sim.advance_by(inference_latency);
-        energy += cost;
-        latency += inference_latency;
-        let mut final_exit = exit;
-        let mut correct = rng.gen::<f64>() < model.exit_accuracy(exit);
-        let confidence =
-            if correct { 0.55 + 0.45 * rng.gen::<f64>() } else { 0.75 * rng.gen::<f64>() };
-
-        // Incremental continuation, same analytic refinement as the
-        // single-device simulator.
-        if confidence < 0.55 && exit + 1 < model.num_exits() {
-            let next_exit = exit + 1;
-            let inc_energy = model.incremental_energy_mj(exit, next_exit)?;
-            let cc = ContinueContext {
-                event_id,
-                current_exit: exit,
-                next_exit,
-                confidence,
-                available_energy_mj: sim.storage().level_mj(),
-                capacity_mj: sim.storage().capacity_mj(),
-                incremental_energy_mj: inc_energy,
-            };
-            if policy.choose_continue(&cc) && sim.storage().can_supply(inc_energy) {
-                sim.consume(inc_energy)?;
-                let inc_latency = model.incremental_latency_s(exit, next_exit)?;
-                sim.advance_by(inc_latency);
-                energy += inc_energy;
-                latency += inc_latency;
-                final_exit = next_exit;
-                acc.incremental_events += 1;
-                if !correct {
-                    let a_shallow = model.exit_accuracy(exit);
-                    let a_deep = model.exit_accuracy(next_exit);
-                    let fix_probability =
-                        ((a_deep - a_shallow) / (1.0 - a_shallow).max(1e-9)).clamp(0.0, 1.0);
-                    correct = rng.gen::<f64>() < fix_probability;
-                }
-            }
-        }
-
-        // Post-inference checkpoint commit: a cut here tears the NV write;
-        // the previous checkpoint stays valid, so recovery costs a boot.
-        if let Some(torn_at) = injector.on_commit(CHECKPOINT_RECORD_LEN) {
-            if torn_at < CHECKPOINT_RECORD_LEN {
-                acc.torn_writes += 1;
-                acc.recovered_boots += 1;
-            }
-        }
-
-        acc.exit_counts[final_exit.min(EXIT_SLOTS - 1)] += 1;
-        acc.energy_hist[log_bin(energy, ENERGY_LOG10_RANGE)] += 1;
-        acc.latency_hist[log_bin(latency, LATENCY_LOG10_RANGE)] += 1;
-        Ok(EventResult { processed: true, correct, energy_mj: energy })
-    }
-}
-
-/// What one event came to, from the per-event processing helper.
-struct EventResult {
-    processed: bool,
-    correct: bool,
-    energy_mj: f64,
 }
 
 #[cfg(test)]
@@ -1094,6 +964,30 @@ mod tests {
         c.probe_device = Some(4);
         assert!(FleetSimulator::new(&c).run(&m).is_err());
         assert!(FleetSimulator::new(&FleetConfig::new(4, 1)).replay_device(&m, 99).is_err());
+    }
+
+    #[test]
+    fn models_without_exits_or_with_too_many_are_rejected() {
+        let cost = ie_mcu::CostModel::for_device(&ie_mcu::McuDevice::msp432());
+        let fleet = FleetSimulator::new(&FleetConfig::new(4, 1));
+        for exits in [0, EXIT_SLOTS + 1] {
+            let profile = ie_compress::CompressedProfile {
+                exit_flops: (1..=exits as u64).map(|e| 100_000 * e).collect(),
+                branch_flops: vec![10_000; exits],
+                exit_accuracy: vec![0.5; exits],
+                total_flops: 100_000 * exits as u64,
+                model_size_bytes: 1024,
+            };
+            let model = DeployedModel::new(profile, cost.clone());
+            assert!(
+                matches!(fleet.run(&model), Err(CoreError::InvalidConfig(_))),
+                "{exits} exits must be rejected by run"
+            );
+            assert!(
+                matches!(fleet.replay_device(&model, 0), Err(CoreError::InvalidConfig(_))),
+                "{exits} exits must be rejected by replay_device"
+            );
+        }
     }
 
     #[test]

@@ -46,8 +46,9 @@ pub mod metrics;
 pub mod policies;
 mod policy;
 mod simulator;
+mod step;
 
-pub use config::{ExperimentConfig, FaultConfig, MAX_TRACE_DURATION_S};
+pub use config::{ExperimentConfig, FaultConfig, MAX_TRACE_DURATION_S, PAPER_CONFIDENCE_THRESHOLD};
 pub use deployed::DeployedModel;
 pub use error::CoreError;
 pub use fleet::{FleetAccumulator, FleetConfig, FleetReport, FleetSimulator};
